@@ -126,6 +126,16 @@ def log_document(
     return doc
 
 
+# What reading a field of a log document that lacks it, or holds the wrong
+# type, raises.
+_MALFORMED_LOG = (KeyError, TypeError, ValueError)
+
+
+def _malformed_log(exc: Exception) -> int:
+    print(f"error: malformed log document: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
     return engine.SolutionMap(
         assignments=[(int(v), int(val)) for v, val in doc["assignments"]],
@@ -242,7 +252,10 @@ def cmd_verify(args) -> int:
     except (OSError, QuboFormatError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    solution_map = solution_map_from_document(doc)
+    try:
+        solution_map = solution_map_from_document(doc)
+    except _MALFORMED_LOG as exc:
+        return _malformed_log(exc)
     try:
         if reduced.n == len(solution_map.survivors) != original.n:
             dense = reduced
@@ -315,7 +328,11 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report_from_document(doc).table())
+    try:
+        report = report_from_document(doc)
+    except _MALFORMED_LOG as exc:
+        return _malformed_log(exc)
+    print(report.table())
     return 0
 
 

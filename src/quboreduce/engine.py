@@ -6,8 +6,9 @@ is first checked by the single-variable rules, then paired against its
 h-group neighbours for the pair-assignment rules and the strongly-holding
 form of the substitution rules.  Dropping a node records where the next pass
 may stop early; once a pass drops nothing, a residual sweep covers the
-substitution combinations the strongly-holding screen cannot see, and the
-whole loop repeats until truly nothing fires.
+substitution combinations the strongly-holding screen cannot see.  One sweep
+applies every substitution it finds; if it found any, the passes resume, and
+the whole loop repeats until truly nothing fires.
 """
 
 from __future__ import annotations
@@ -127,9 +128,10 @@ class ResidualScheduler:
 
     a/b flags mark variables whose complement-pair conditions hold at their
     most negative incident edge; c/d flags are the analogues for the
-    equality-pair conditions at the most positive edge.  A variable with
-    both flags of a family set is substituted immediately during the normal
-    passes, so the built lists are disjoint within each family.
+    equality-pair conditions at the most positive edge.  ab_list and cd_list
+    hold the free variables with at least one flag of their family set; the
+    sweep pairs an a-flagged variable with a b-flagged neighbour, c with c,
+    and d with d.
     """
 
     def __init__(self, n: int):
@@ -138,11 +140,7 @@ class ResidualScheduler:
         self.b_flag = [False] * (n + 1)
         self.c_flag = [False] * (n + 1)
         self.d_flag = [False] * (n + 1)
-        self.a_list: list[int] = []
-        self.b_list: list[int] = []
         self.ab_list: list[int] = []
-        self.c_list: list[int] = []
-        self.d_list: list[int] = []
         self.cd_list: list[int] = []
 
     def record(self, state: ReductionState, v: int) -> None:
@@ -165,11 +163,7 @@ class ResidualScheduler:
         free = state.free_variables()
         for v in free:
             self.record(state, v)
-        self.a_list = [v for v in free if self.a_flag[v]]
-        self.b_list = [v for v in free if self.b_flag[v]]
         self.ab_list = [v for v in free if self.a_flag[v] or self.b_flag[v]]
-        self.c_list = [v for v in free if self.c_flag[v]]
-        self.d_list = [v for v in free if self.d_flag[v]]
         self.cd_list = [v for v in free if self.c_flag[v] or self.d_flag[v]]
 
 
@@ -461,21 +455,23 @@ class _Reducer:
 
     # -- residual sweep -------------------------------------------------------
 
-    def _residual_hit(self, pass_no: int, verdict: rules.RuleVerdict) -> int:
+    def _residual_hit(self, pass_no: int, verdict: rules.RuleVerdict) -> None:
         self._apply(pass_no, verdict)
         self._drop_h(verdict.conclusion.h)
         self._note_drop()
         if self.log.pass_drops:
             self.log.pass_drops[-1] += 1
-        return 1
 
     def run_residual(self, pass_no: int) -> int:
         """Probe the substitution combinations the strongly-holds screen skipped.
 
         Only adjacent pairs with the right edge sign can qualify, so each
-        listed variable scans its neighbours against the partner flags.
-        Returns the number of substitutions performed (at most one: the first
-        hit cancels the early termination and control returns to the passes).
+        listed variable scans its neighbours against the partner flags.  A hit
+        ends its variable's turn (its row was just rebuilt) and the sweep goes
+        on with the next listed variable; returns the number of substitutions.
+        Every hit re-tests its condition on the live sums and edge, so flags
+        gone stale through earlier hits can only hide a candidate, which the
+        next sweep then finds.
         """
         s = self.s
         sched = self.sched
@@ -487,6 +483,7 @@ class _Reducer:
         # Deactivate each variable after its turn so every candidate pair is
         # tested once per sweep.
         active = bytearray(s.n + 1)
+        hits = 0
 
         for i in sched.ab_list:
             active[i] = 1
@@ -501,11 +498,13 @@ class _Reducer:
                     a1 = c[i] - d + dm[i]
                     b2 = c[h] + d + dp[h]
                     if a1 >= 0 and b2 <= 0:
-                        return self._residual_hit(pass_no, rules.RuleVerdict(
+                        self._residual_hit(pass_no, rules.RuleVerdict(
                             rules.R2_5,
                             rules.SubstituteComplement(i, h),
                             a1 > 0 and b2 < 0,
                         ))
+                        hits += 1
+                        break
             else:
                 for h, d in s.adj[i].items():
                     if d >= 0 or not active[h] or not a_flag[h]:
@@ -513,11 +512,13 @@ class _Reducer:
                     b1 = c[i] + d + dp[i]
                     a2 = c[h] - d + dm[h]
                     if b1 <= 0 and a2 >= 0:
-                        return self._residual_hit(pass_no, rules.RuleVerdict(
+                        self._residual_hit(pass_no, rules.RuleVerdict(
                             rules.R2_5,
                             rules.SubstituteComplement(i, h),
                             b1 < 0 and a2 > 0,
                         ))
+                        hits += 1
+                        break
             active[i] = 0
 
         # Equality version.  The cross conditions pair C-flagged variables
@@ -544,11 +545,13 @@ class _Reducer:
                     hit = c[i] + d + dm[i] >= 0 and c[h] + d + dm[h] >= 0
                     strict = c[i] + d + dm[i] > 0 and c[h] + d + dm[h] > 0
                 if hit:
-                    return self._residual_hit(pass_no, rules.RuleVerdict(
+                    self._residual_hit(pass_no, rules.RuleVerdict(
                         rules.R2_6, rules.SubstituteEqual(i, h), strict
                     ))
+                    hits += 1
+                    break
             active[i] = 0
-        return 0
+        return hits
 
 
 # --- public entry points ---------------------------------------------------

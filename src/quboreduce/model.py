@@ -210,51 +210,56 @@ def read_instance(path) -> QuboInstance:
     offset = 0
     linear: dict[int, int] = {}
     quadratic: dict[tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            try:
-                if tok[0] == "p":
-                    if n is not None:
-                        raise QuboFormatError(f"line {lineno}: duplicate problem line")
-                    if len(tok) != 3 or tok[1] != "qubo":
-                        raise QuboFormatError(f"line {lineno}: expected 'p qubo <n>'")
-                    n = int(tok[2])
-                    if n < 0:
-                        raise QuboFormatError(f"line {lineno}: negative variable count")
+    # The file decodes chunk by chunk as it is iterated, so a bad byte
+    # surfaces at the loop, not inside the per-line error mapping.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
                     continue
-                if n is None:
-                    raise QuboFormatError(f"line {lineno}: data before 'p qubo <n>' line")
-                if tok[0] == "o":
-                    if len(tok) != 2:
-                        raise QuboFormatError(f"line {lineno}: expected 'o <offset>'")
-                    offset += int(tok[1])
-                elif tok[0] == "l":
-                    if len(tok) != 3:
-                        raise QuboFormatError(f"line {lineno}: expected 'l <i> <value>'")
-                    i, v = int(tok[1]), int(tok[2])
-                    if not 1 <= i <= n:
-                        raise QuboFormatError(f"line {lineno}: index {i} outside 1..{n}")
-                    linear[i] = linear.get(i, 0) + v
-                elif tok[0] == "q":
-                    if len(tok) != 4:
-                        raise QuboFormatError(f"line {lineno}: expected 'q <i> <j> <value>'")
-                    i, j, v = int(tok[1]), int(tok[2]), int(tok[3])
-                    if not (1 <= i <= n and 1 <= j <= n):
-                        raise QuboFormatError(f"line {lineno}: pair ({i}, {j}) outside 1..{n}")
-                    if i == j:
-                        raise QuboFormatError(f"line {lineno}: quadratic entry on diagonal")
-                    key = canonical_pair(i, j)
-                    quadratic[key] = quadratic.get(key, 0) + v
-                else:
-                    raise QuboFormatError(f"line {lineno}: unknown directive {tok[0]!r}")
-            except ValueError as exc:
-                if isinstance(exc, QuboFormatError):
-                    raise
-                raise QuboFormatError(f"line {lineno}: {exc}") from exc
+                tok = line.split()
+                try:
+                    if tok[0] == "p":
+                        if n is not None:
+                            raise QuboFormatError(f"line {lineno}: duplicate problem line")
+                        if len(tok) != 3 or tok[1] != "qubo":
+                            raise QuboFormatError(f"line {lineno}: expected 'p qubo <n>'")
+                        n = int(tok[2])
+                        if n < 0:
+                            raise QuboFormatError(f"line {lineno}: negative variable count")
+                        continue
+                    if n is None:
+                        raise QuboFormatError(f"line {lineno}: data before 'p qubo <n>' line")
+                    if tok[0] == "o":
+                        if len(tok) != 2:
+                            raise QuboFormatError(f"line {lineno}: expected 'o <offset>'")
+                        offset += int(tok[1])
+                    elif tok[0] == "l":
+                        if len(tok) != 3:
+                            raise QuboFormatError(f"line {lineno}: expected 'l <i> <value>'")
+                        i, v = int(tok[1]), int(tok[2])
+                        if not 1 <= i <= n:
+                            raise QuboFormatError(f"line {lineno}: index {i} outside 1..{n}")
+                        linear[i] = linear.get(i, 0) + v
+                    elif tok[0] == "q":
+                        if len(tok) != 4:
+                            raise QuboFormatError(f"line {lineno}: expected 'q <i> <j> <value>'")
+                        i, j, v = int(tok[1]), int(tok[2]), int(tok[3])
+                        if not (1 <= i <= n and 1 <= j <= n):
+                            raise QuboFormatError(f"line {lineno}: pair ({i}, {j}) outside 1..{n}")
+                        if i == j:
+                            raise QuboFormatError(f"line {lineno}: quadratic entry on diagonal")
+                        key = canonical_pair(i, j)
+                        quadratic[key] = quadratic.get(key, 0) + v
+                    else:
+                        raise QuboFormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+                except ValueError as exc:
+                    if isinstance(exc, QuboFormatError):
+                        raise
+                    raise QuboFormatError(f"line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise QuboFormatError(f"file is not UTF-8 text: {exc}") from exc
     if n is None:
         raise QuboFormatError("missing 'p qubo <n>' line")
     return QuboInstance(

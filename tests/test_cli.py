@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from conftest import random_instance
 from quboreduce.cli import main
 from quboreduce.model import read_instance, write_instance
@@ -128,6 +130,33 @@ class TestReduceVerify:
     def test_unreadable_input(self, tmp_path):
         assert run(["reduce", tmp_path / "missing.qubo"]) == 2
 
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qubo"
+        bad.write_bytes(b"p qubo 2\n\xff\n")
+        good = tmp_path / "good.qubo"
+        good.write_text("p qubo 2\nl 1 1\n")
+        log = tmp_path / "log.json"
+        assert run(["reduce", good, "--log", log]) == 0
+        capsys.readouterr()
+        assert run(["reduce", bad]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert run(["verify", bad, good, log]) == 2
+        assert run(["verify", good, bad, log]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_log_without_assignments_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        doc = json.loads(log.read_text())
+        del doc["assignments"]
+        log.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_emit_inequalities_recorded(self, tmp_path):
         src = tmp_path / "iq.qubo"
         src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 -4\nq 1 2 -1\nq 1 3 2\nq 2 3 2\n")
@@ -190,3 +219,10 @@ class TestReport:
 
     def test_report_missing_file(self, tmp_path):
         assert run(["report", tmp_path / "nope.json"]) == 2
+
+    @pytest.mark.parametrize("text", ["{}", "[]"])
+    def test_report_malformed_document(self, tmp_path, capsys, text):
+        log = tmp_path / "bad.json"
+        log.write_text(text)
+        assert run(["report", log]) == 2
+        assert "error: " in capsys.readouterr().err
