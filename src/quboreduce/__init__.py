@@ -13,7 +13,7 @@ from .engine import (
 )
 from .generator import DesignRow, GeneratorSpec, design_table, generate_instance
 from .model import (
-    QuboFormatError, QuboInstance, Solution, build_from_triplets, evaluate,
+    QuboFormatError, QuboInstance, build_from_triplets, evaluate,
     ising_to_qubo, read_instance, write_instance,
 )
 from .oracle import OracleResult, brute_force_solve, check_equivalence
@@ -34,7 +34,6 @@ __all__ = [
     "generate_instance",
     "QuboFormatError",
     "QuboInstance",
-    "Solution",
     "build_from_triplets",
     "evaluate",
     "ising_to_qubo",

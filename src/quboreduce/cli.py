@@ -23,6 +23,7 @@ from .state import COMPLEMENT_OF, SAME_AS
 
 _IDENTITY_NAMES = {SAME_AS: "same", COMPLEMENT_OF: "complement"}
 _IDENTITY_CODES = {v: k for k, v in _IDENTITY_NAMES.items()}
+LOG_FORMAT = "quboreduce-log/1"
 
 
 @dataclass
@@ -83,7 +84,7 @@ def log_document(
 ) -> dict:
     """Structured JSON document holding the log, the report, and the map."""
     doc = {
-        "format": "quboreduce-log/1",
+        "format": LOG_FORMAT,
         "original_n": original.n,
         "survivors": solution_map.survivors,
         "assignments": [[v, val] for v, val in solution_map.assignments],
@@ -160,7 +161,7 @@ def report_from_document(doc: dict) -> RunReport:
     )
 
 
-def expand_to_original_ids(reduced: QuboInstance, survivors: list[int], n: int) -> QuboInstance:
+def to_original_ids(reduced: QuboInstance, survivors: list[int], n: int) -> QuboInstance:
     """Rewrite a densely indexed reduced instance over the original index set."""
     linear = {survivors[i - 1]: v for i, v in reduced.linear.items()}
     quadratic = {
@@ -168,6 +169,17 @@ def expand_to_original_ids(reduced: QuboInstance, survivors: list[int], n: int) 
         for (i, j), v in reduced.quadratic.items()
     }
     return QuboInstance(n, linear, quadratic, reduced.offset)
+
+
+def to_dense_ids(reduced: QuboInstance, survivors: list[int]) -> QuboInstance:
+    """Renumber an original-indexed reduced instance densely over the survivors.
+
+    Raises KeyError for a variable that is not a survivor.
+    """
+    index = {orig: k for k, orig in enumerate(survivors, start=1)}
+    linear = {index[i]: v for i, v in reduced.linear.items()}
+    quadratic = {(index[i], index[j]): v for (i, j), v in reduced.quadratic.items()}
+    return QuboInstance(len(survivors), linear, quadratic, reduced.offset)
 
 
 def _spec_header(spec: generator.GeneratorSpec) -> list[str]:
@@ -218,27 +230,31 @@ def cmd_generate(args) -> int:
 def cmd_reduce(args) -> int:
     try:
         original = read_instance(args.instance)
-    except (OSError, QuboFormatError) as exc:
+        options = engine.EngineOptions(
+            max_passes=args.max_passes,
+            enable_residual=not args.no_residual,
+            emit_inequalities=args.emit_inequalities,
+        )
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    options = engine.EngineOptions(
-        max_passes=args.max_passes,
-        enable_residual=not args.no_residual,
-        emit_inequalities=args.emit_inequalities,
-    )
     start = time.perf_counter()
     reduced, log, solution_map = engine.run_to_fixed_point(original, options)
     elapsed = time.perf_counter() - start
     doc = log_document(original, reduced, log, solution_map, elapsed,
                        renumber=args.renumber)
-    if args.output:
-        emitted = reduced if args.renumber else expand_to_original_ids(
-            reduced, solution_map.survivors, original.n
-        )
-        write_instance(emitted, args.output)
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+    try:
+        if args.output:
+            emitted = reduced if args.renumber else to_original_ids(
+                reduced, solution_map.survivors, original.n
+            )
+            write_instance(emitted, args.output)
+        if args.log:
+            with open(args.log, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report_from_document(doc).table())
     return 0
 
@@ -253,21 +269,17 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        log_format = doc["format"]
         solution_map = solution_map_from_document(doc)
+        renumbered = "renumber" in doc
     except _MALFORMED_LOG as exc:
         return _malformed_log(exc)
+    if log_format != LOG_FORMAT:
+        print(f"error: unsupported log format {log_format!r} (expected {LOG_FORMAT})",
+              file=sys.stderr)
+        return 2
     try:
-        if reduced.n == len(solution_map.survivors) != original.n:
-            dense = reduced
-        else:
-            # Original-indexed emission: project onto the survivors.
-            index = {orig: k + 1 for k, orig in enumerate(solution_map.survivors)}
-            dense = QuboInstance(
-                len(solution_map.survivors),
-                {index[i]: v for i, v in reduced.linear.items()},
-                {(index[i], index[j]): v for (i, j), v in reduced.quadratic.items()},
-                reduced.offset,
-            )
+        dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
         report = oracle.check_equivalence(original, dense, solution_map,
                                           n_limit=args.limit)
     except (KeyError, ValueError) as exc:

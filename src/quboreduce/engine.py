@@ -9,6 +9,10 @@ may stop early; once a pass drops nothing, a residual sweep covers the
 substitution combinations the strongly-holding screen cannot see.  One sweep
 applies every substitution it finds; if it found any, the passes resume, and
 the whole loop repeats until truly nothing fires.
+
+Every state change is logged as an event; applying the logged conclusions in
+order with :func:`apply_conclusion` to a fresh state rebuilds each
+intermediate state of the run, so the engine keeps no snapshots.
 """
 
 from __future__ import annotations
@@ -20,33 +24,22 @@ from . import rules
 from .model import QuboInstance
 from .state import FREE, SAME_AS, ReductionState, init_state
 
-DEFAULT_RULE_ORDER = ("R3_1", "R3_2", "R3_3", "R3_4", "R2_5", "R2_6")
-
-
 @dataclass
 class EngineOptions:
     """Knobs for a reduction run.
 
-    rule_order fixes the probe order inside the pair loop; enable_residual
-    turns the post-termination substitution sweep on; emit_inequalities mines
-    pairwise inequalities that do not complete a substitution;
-    capture_snapshots stores the working instance before each event (test
-    support, memory-heavy); instrument records every pair probe.
+    max_passes caps the scan passes; enable_residual turns the
+    post-termination substitution sweep on; emit_inequalities mines pairwise
+    inequalities that do not complete a substitution.
     """
 
     max_passes: int | None = None
-    rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER
     enable_residual: bool = True
     emit_inequalities: bool = False
-    capture_snapshots: bool = False
-    instrument: bool = False
 
     def __post_init__(self):
         if self.max_passes is not None and self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
-        unknown = set(self.rule_order) - set(DEFAULT_RULE_ORDER)
-        if unknown:
-            raise ValueError(f"unknown pair rules in rule_order: {sorted(unknown)}")
 
 
 @dataclass
@@ -54,7 +47,6 @@ class LoggedEvent:
     pass_number: int
     verdict: rules.RuleVerdict
     live_after: int
-    snapshot_id: int | None = None
 
 
 @dataclass
@@ -62,6 +54,8 @@ class InequalityRecord:
     pass_number: int
     verdict: rules.RuleVerdict
     m_bound: int
+    # The state's event count when mined: replaying the logged events on a
+    # fresh state reaches that count exactly where the record was made.
     snapshot_id: int
 
 
@@ -74,11 +68,6 @@ class ReductionLog:
     per_rule_counts: Counter = field(default_factory=Counter)
     pass_drops: list[int] = field(default_factory=list)
     pass_count: int = 0
-    snapshots: dict[int, QuboInstance] = field(default_factory=dict)
-    probes: list[tuple[int, int, int]] = field(default_factory=list)
-
-    def reductions_total(self) -> int:
-        return sum(self.pass_drops)
 
 
 @dataclass
@@ -167,6 +156,25 @@ class ResidualScheduler:
         self.cd_list = [v for v in free if self.c_flag[v] or self.d_flag[v]]
 
 
+def apply_conclusion(state: ReductionState, concl: rules.Conclusion) -> None:
+    """Carry out one reduction conclusion on the state.
+
+    The engine applies every event through here, so replaying a log's events
+    on a fresh state rebuilds each intermediate state of the run.
+    """
+    if isinstance(concl, rules.Fix):
+        state.apply_fix(concl.var, concl.value)
+    elif isinstance(concl, rules.PairFix):
+        state.apply_fix(concl.i, concl.vi)
+        state.apply_fix(concl.h, concl.vh)
+    elif isinstance(concl, rules.SubstituteComplement):
+        state.apply_substitution_complement(concl.i, concl.h)
+    elif isinstance(concl, rules.SubstituteEqual):
+        state.apply_substitution_equal(concl.i, concl.h)
+    else:
+        raise RuntimeError(f"cannot apply conclusion {concl!r}")
+
+
 # Screening for inequality mining: each sub-rule's condition is loosest at
 # the arg-extreme partner, so it is only evaluated there.
 _MINE_AT_EXTREME = {
@@ -205,30 +213,9 @@ class _Reducer:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _snapshot_id(self) -> int | None:
-        if not self.opt.capture_snapshots:
-            return None
-        eid = self.s.events
-        if eid not in self.log.snapshots:
-            self.log.snapshots[eid] = self.s.snapshot()
-        return eid
-
     def _apply(self, pass_no: int, verdict: rules.RuleVerdict) -> None:
-        sid = self._snapshot_id()
-        concl = verdict.conclusion
-        s = self.s
-        if isinstance(concl, rules.Fix):
-            s.apply_fix(concl.var, concl.value)
-        elif isinstance(concl, rules.PairFix):
-            s.apply_fix(concl.i, concl.vi)
-            s.apply_fix(concl.h, concl.vh)
-        elif isinstance(concl, rules.SubstituteComplement):
-            s.apply_substitution_complement(concl.i, concl.h)
-        elif isinstance(concl, rules.SubstituteEqual):
-            s.apply_substitution_equal(concl.i, concl.h)
-        else:
-            raise RuntimeError(f"cannot apply conclusion {concl!r}")
-        self.log.events.append(LoggedEvent(pass_no, verdict, s.live_count, sid))
+        apply_conclusion(self.s, verdict.conclusion)
+        self.log.events.append(LoggedEvent(pass_no, verdict, self.s.live_count))
         self.log.per_rule_counts[verdict.rule_id] += 1
 
     def _note_drop(self, dropped: int = 1) -> None:
@@ -297,50 +284,30 @@ class _Reducer:
             arg = s.min_arg[v] if side == "min" else s.max_arg[v]
             if arg != w:
                 continue
-            sid = self._snapshot_id()
-            self.log.inequality_records.append(
-                InequalityRecord(
-                    pass_no,
-                    verdict,
-                    rules.m_lower_bound(s, verdict),
-                    s.events if sid is None else sid,
-                )
-            )
+            self.log.inequality_records.append(InequalityRecord(
+                pass_no, verdict, rules.m_lower_bound(s, verdict), s.events
+            ))
 
     def _try_pair(self, pass_no: int, i: int, h: int) -> str | None:
         """Probe (i, h); returns "pair" (both dropped), "subst" (h dropped), or None."""
         s = self.s
-        if self.opt.instrument:
-            self.log.probes.append((pass_no, i, h))
-        positive = s.adj[i][h] > 0
-        for rid in self.opt.rule_order:
-            if rid == "R3_1":
-                v = rules.rule_pair_zero(s, i, h) if positive else None
-            elif rid == "R3_2":
-                v = None if positive else rules.rule_pair_one_zero(s, i, h)
-            elif rid == "R3_3":
-                v0 = None if positive else rules.rule_pair_one_zero(s, h, i)
-                v = rules.RuleVerdict(rules.R3_3, v0.conclusion, v0.unique) if v0 else None
-            elif rid == "R3_4":
-                v = rules.rule_pair_one(s, i, h) if positive else None
-            elif rid == "R2_5":
-                v = None if positive else self._reduced_complement(i, h)
-            else:
-                v = self._reduced_equal(i, h) if positive else None
-            if v is None:
-                continue
-            if isinstance(v.conclusion, rules.PairFix):
-                self._apply(pass_no, v)
-                self._drop_h(h)
-                self._note_drop(2)
-                return "pair"
-            self._apply(pass_no, v)
-            self._drop_h(h)
-            self._note_drop()
-            return "subst"
-        if self.opt.emit_inequalities:
-            self._mine(pass_no, i, h)
-        return None
+        if s.adj[i][h] > 0:
+            v = (rules.rule_pair_zero(s, i, h) or rules.rule_pair_one(s, i, h)
+                 or self._reduced_equal(i, h))
+        else:
+            v = (rules.rule_pair_one_zero(s, i, h) or rules.rule_pair_zero_one(s, i, h)
+                 or self._reduced_complement(i, h))
+        if v is None:
+            if self.opt.emit_inequalities:
+                self._mine(pass_no, i, h)
+            return None
+        self._apply(pass_no, v)
+        self._drop_h(h)
+        if isinstance(v.conclusion, rules.PairFix):
+            self._note_drop(2)
+            return "pair"
+        self._note_drop()
+        return "subst"
 
     # -- passes -------------------------------------------------------------
 
@@ -626,18 +593,4 @@ def run_to_fixed_point(
 
 def verify_fixed_point(state: ReductionState) -> bool:
     """Exhaustive check that no rule in the catalog fires anywhere."""
-    free = state.free_variables()
-    for i in free:
-        if rules.rule_fix_zero(state, i) or rules.rule_fix_one(state, i):
-            return False
-    for i in free:
-        for h in state.adj[i]:
-            if h < i:
-                continue
-            if rules.rule_pair_zero(state, i, h) or rules.rule_pair_one(state, i, h):
-                return False
-            if rules.rule_pair_one_zero(state, i, h) or rules.rule_pair_one_zero(state, h, i):
-                return False
-            if rules.rule_complement_pair(state, i, h) or rules.rule_equal_pair(state, i, h):
-                return False
-    return True
+    return next(rules.catalog_firings(state), None) is None

@@ -181,20 +181,6 @@ def ising_to_qubo(
     )
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A total assignment together with its exact objective value."""
-
-    values: dict[int, int]
-    objective: int
-
-    @classmethod
-    def of(cls, instance: QuboInstance, values: Mapping[int, int] | Sequence[int]) -> "Solution":
-        vals = _as_values(instance, values)
-        as_map = {i: vals[i] for i in range(1, instance.n + 1)}
-        return cls(as_map, evaluate(instance, as_map))
-
-
 # --- text format -------------------------------------------------------------
 #
 #   # comment

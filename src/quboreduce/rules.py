@@ -15,6 +15,7 @@ rules bound the joint contribution of two variables at once.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -241,6 +242,12 @@ def rule_pair_one_zero(state: ReductionState, i: int, h: int) -> RuleVerdict | N
     return None
 
 
+def rule_pair_zero_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
+    """Rule 3.3: x_i = 0 and x_h = 1 on a negative edge (Rule 3.2 with the roles swapped)."""
+    v = rule_pair_one_zero(state, h, i)
+    return RuleVerdict(R3_3, v.conclusion, v.unique) if v else None
+
+
 def rule_pair_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
     """x_i = x_h = 1 when their joint contribution cannot be negative."""
     d = state.adj[i].get(h)
@@ -251,6 +258,40 @@ def rule_pair_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
     if v <= 0:
         return RuleVerdict(R3_4, PairFix(i, 1, h, 1), v < 0)
     return None
+
+
+# --- the whole catalog -------------------------------------------------------
+
+
+def catalog_firings(state: ReductionState) -> Iterator[RuleVerdict]:
+    """Yield every reduction verdict that fires on the state.
+
+    Both fix rules are tried on each free variable; then each edge is probed
+    once with the pair rules of its sign.  Pairs with a fixable endpoint are
+    skipped, since the pair rules presuppose that neither variable fixes.
+    """
+    free = state.free_variables()
+    fixable = set()
+    for v in free:
+        for verdict in (rule_fix_one(state, v), rule_fix_zero(state, v)):
+            if verdict:
+                fixable.add(v)
+                yield verdict
+    for i in free:
+        if i in fixable:
+            continue
+        for h, d in state.adj[i].items():
+            if h < i or h in fixable:
+                continue
+            if d > 0:
+                found = (rule_pair_zero(state, i, h), rule_pair_one(state, i, h),
+                         rule_equal_pair(state, i, h))
+            else:
+                found = (rule_pair_one_zero(state, i, h), rule_pair_zero_one(state, i, h),
+                         rule_complement_pair(state, i, h))
+            for verdict in found:
+                if verdict:
+                    yield verdict
 
 
 # --- penalty weights -------------------------------------------------------
@@ -327,17 +368,6 @@ def m_lower_bound(state: ReductionState, verdict: RuleVerdict) -> int:
     return max(min(lower), min(upper))
 
 
-def _row_sums(instance: QuboInstance, v: int) -> tuple[int, int]:
-    neg = pos = 0
-    for (a, b), d in instance.quadratic.items():
-        if a == v or b == v:
-            if d < 0:
-                neg += d
-            else:
-                pos += d
-    return neg, pos
-
-
 def penalty_rewrite(
     instance: QuboInstance,
     kind: InequalityKind,
@@ -361,10 +391,9 @@ def penalty_rewrite(
     """
     if not (1 <= i <= instance.n and 1 <= h <= instance.n) or i == h:
         raise ValueError(f"invalid pair ({i}, {h})")
-    dm_i, dp_i = _row_sums(instance, i)
-    dm_h, dp_h = _row_sums(instance, h)
-    c_i = instance.linear.get(i, 0)
-    c_h = instance.linear.get(h, 0)
+    st = ReductionState(instance)
+    dm_i, dp_i, dm_h, dp_h = st.d_minus[i], st.d_plus[i], st.d_minus[h], st.d_plus[h]
+    c_i, c_h = st.c[i], st.c[h]
     if kind is InequalityKind.AT_MOST_ONE:
         bound = min(_bound(c_i + dp_i), _bound(c_h + dp_h))
     elif kind is InequalityKind.AT_LEAST_ONE:

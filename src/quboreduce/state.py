@@ -51,7 +51,7 @@ class ReductionState:
     __slots__ = (
         "n", "offset", "c", "adj", "d_minus", "d_plus",
         "min_val", "min_arg", "max_val", "max_arg",
-        "status", "status_ref", "live_count", "events", "touched",
+        "status", "live_count", "events", "touched",
         "assignment_log", "identity_log", "nlist", "pos", "cursors",
     )
 
@@ -83,7 +83,6 @@ class ReductionState:
             self.d_plus[i] = pos
             self.recompute_row_extremes(i)
         self.status = [FREE] * (n + 1)
-        self.status_ref = [0] * (n + 1)
         self.live_count = n
         self.events = 0
         # touched[v] is the event count of the last change to row v's data
@@ -103,14 +102,8 @@ class ReductionState:
 
     # -- queries ---------------------------------------------------------
 
-    def is_free(self, i: int) -> bool:
-        return self.status[i] == FREE
-
     def free_variables(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self.status[i] == FREE]
-
-    def edge(self, i: int, j: int) -> int | None:
-        return self.adj[i].get(j)
 
     def snapshot(self) -> QuboInstance:
         """Current working problem as an instance over the original index set."""
@@ -263,7 +256,6 @@ class ReductionState:
         self._merge_row(i, h, -1)
         self._clear_row(h)
         self.status[h] = COMPLEMENT_OF
-        self.status_ref[h] = i
         self.identity_log.append((h, COMPLEMENT_OF, i))
         self.live_count -= 1
 
@@ -280,7 +272,6 @@ class ReductionState:
         self._merge_row(i, h, +1)
         self._clear_row(h)
         self.status[h] = SAME_AS
-        self.status_ref[h] = i
         self.identity_log.append((h, SAME_AS, i))
         self.live_count -= 1
 

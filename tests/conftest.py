@@ -1,9 +1,11 @@
-"""Shared helpers: random instance generation and verdict consistency checks."""
+"""Shared helpers: random instances, verdict consistency checks, event-log replay."""
 
 import random
 
 from quboreduce import rules
+from quboreduce.engine import apply_conclusion
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
+from quboreduce.state import init_state
 
 
 def random_instance(rng: random.Random, n: int, coef: int = 10,
@@ -96,35 +98,28 @@ def check_verdict_against_optima(verdict, optima) -> bool:
 
 def catalog_firings(st) -> list:
     """Every rule verdict firing on the given state (pair preconditions honored)."""
-    out = []
-    free = st.free_variables()
-    fixable = set()
-    for v in free:
-        f1 = rules.rule_fix_one(st, v)
-        f0 = rules.rule_fix_zero(st, v)
-        if f1:
-            out.append(f1)
-            fixable.add(v)
-        if f0:
-            out.append(f0)
-            fixable.add(v)
-    for i in free:
+    out = list(rules.catalog_firings(st))
+    fixable = {v.conclusion.var for v in out if isinstance(v.conclusion, rules.Fix)}
+    for i in st.free_variables():
         for h in st.adj[i]:
-            if h < i or i in fixable or h in fixable:
-                continue
-            out.extend(rules.derive_pair_inequalities(st, i, h))
-            for fn in (rules.rule_pair_zero, rules.rule_pair_one,
-                       rules.rule_complement_pair, rules.rule_equal_pair):
-                v = fn(st, i, h)
-                if v:
-                    out.append(v)
-            v = rules.rule_pair_one_zero(st, i, h)
-            if v:
-                out.append(v)
-            v = rules.rule_pair_one_zero(st, h, i)
-            if v:
-                out.append(rules.RuleVerdict("R3_3", v.conclusion, v.unique))
+            if i < h and i not in fixable and h not in fixable:
+                out.extend(rules.derive_pair_inequalities(st, i, h))
     return out
+
+
+def replay(instance: QuboInstance, events):
+    """Rebuild a run's states from its event log.
+
+    Yields the state before each event and then the final one.  The same
+    state object is yielded each time and mutated in between, so copy what
+    must outlive the next step.  A pair fix is two mutations, so identify a
+    state by its ``events`` count, not by the event's index.
+    """
+    st = init_state(instance)
+    for ev in events:
+        yield st
+        apply_conclusion(st, ev.verdict.conclusion)
+    yield st
 
 
 # Frozen constructed instances (see test_engine for their roles).

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import (
     RESIDUAL_COMPLEMENT, RULE_SILENT, catalog_firings,
-    check_verdict_against_optima, optima_by_enumeration, restricted_optimum,
-    sweep_instance,
+    check_verdict_against_optima, optima_by_enumeration, replay,
+    restricted_optimum, sweep_instance,
 )
 from quboreduce import rules, state as state_mod
 from quboreduce.engine import (
@@ -34,9 +34,7 @@ def sweep():
     results = []
     for t in range(SWEEP_SIZE):
         inst = sweep_instance(t)
-        reduced, log, smap = run_to_fixed_point(
-            inst, EngineOptions(capture_snapshots=True)
-        )
+        reduced, log, smap = run_to_fixed_point(inst)
         results.append((inst, reduced, log, smap))
     return results
 
@@ -49,13 +47,6 @@ def test_criterion_1_oracle_soundness_sweep(sweep):
     elapsed = time.perf_counter() - start
     print(f"\nACCEPTANCE 1: PASS - {SWEEP_SIZE} reductions exactly equivalent "
           f"(verification {elapsed:.0f}s)")
-
-
-def _intermediate_states(inst, log):
-    states = [inst]
-    for ev in log.events:
-        states.append(log.snapshots[ev.snapshot_id])
-    return states
 
 
 DERIVED_EXAMPLES_NOTE = """Each entry re-derives a worked example: rule
@@ -185,7 +176,8 @@ def test_criterion_2_rule_micro_suite(sweep):
     firing_instances = {rid: set() for rid in rules.ALL_RULE_IDS}
     checked = 0
     for t, (inst, reduced, log, smap) in enumerate(sweep):
-        for snap in _intermediate_states(inst, log):
+        for state in replay(inst, log.events):
+            snap = state.snapshot()
             st = init_state(snap)
             firings = catalog_firings(st)
             if not firings:
@@ -228,18 +220,12 @@ def test_criterion_4_compensation_term_regression(monkeypatch):
     broke = None
     for t in range(SWEEP_SIZE):
         inst = sweep_instance(t)
-        reduced, log, smap = run_to_fixed_point(
-            inst, EngineOptions(capture_snapshots=True)
-        )
-        complement_events = [
-            ev for ev in log.events
-            if isinstance(ev.verdict.conclusion, rules.SubstituteComplement)
-        ]
-        if not complement_events:
-            continue
+        reduced, log, smap = run_to_fixed_point(inst)
         degree2 = False
-        for ev in complement_events:
-            snap = log.snapshots[ev.snapshot_id]
+        for state, ev in zip(replay(inst, log.events), log.events):
+            if not isinstance(ev.verdict.conclusion, rules.SubstituteComplement):
+                continue
+            snap = state.snapshot()
             h = ev.verdict.conclusion.h
             deg = sum(1 for pair in snap.quadratic if h in pair)
             if deg >= 2:
@@ -291,7 +277,7 @@ def test_criterion_6_penalty_correctness():
         rules.InequalityKind.I_LE_H: lambda x, i, h: x[i - 1] <= x[h - 1],
         rules.InequalityKind.H_LE_I: lambda x, i, h: x[h - 1] <= x[i - 1],
     }
-    options = EngineOptions(emit_inequalities=True, capture_snapshots=True)
+    options = EngineOptions(emit_inequalities=True)
     instances_checked = 0
     records_checked = 0
     t = 0
@@ -309,8 +295,11 @@ def test_criterion_6_penalty_correctness():
         if not qualifying:
             continue
         instances_checked += 1
+        wanted = {rec.snapshot_id for rec in qualifying[:4]}
+        snaps = {st.events: st.snapshot() for st in replay(inst, log.events)
+                 if st.events in wanted}
         for rec in qualifying[:4]:
-            snap = log.snapshots[rec.snapshot_id]
+            snap = snaps[rec.snapshot_id]
             concl = rec.verdict.conclusion
             i, h, kind = concl.i, concl.h, concl.kind
             penalized = rules.penalty_rewrite(snap, kind, i, h, rec.m_bound + 1)

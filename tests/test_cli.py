@@ -127,6 +127,19 @@ class TestReduceVerify:
         run(["reduce", src, "-o", red, "--log", log])
         assert run(["verify", src, red, log]) == 2
 
+    def test_zero_max_passes_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "m.qubo"
+        src.write_text("p qubo 2\nl 1 1\n")
+        assert run(["reduce", src, "--max-passes", 0]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-o", "--log"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, flag):
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        assert run(["reduce", src, flag, tmp_path / "missing" / "out"]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_unreadable_input(self, tmp_path):
         assert run(["reduce", tmp_path / "missing.qubo"]) == 2
 
@@ -152,6 +165,41 @@ class TestReduceVerify:
         run(["reduce", src, "-o", red, "--log", log])
         doc = json.loads(log.read_text())
         del doc["assignments"]
+        log.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_verify_takes_numbering_from_log(self, tmp_path, capsys):
+        # variable 1 is fixed, 2..4 survive: the dense and the original-indexed
+        # files differ, and each only verifies against its own log
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 4\nl 1 5\nl 2 -2\nl 3 -3\nl 4 -1\n"
+                       "q 2 3 5\nq 2 4 4\nq 3 4 -4\n")
+        plain, plain_log = tmp_path / "plain.qubo", tmp_path / "plain.json"
+        dense, dense_log = tmp_path / "dense.qubo", tmp_path / "dense.json"
+        assert run(["reduce", src, "-o", plain, "--log", plain_log]) == 0
+        assert run(["reduce", src, "-o", dense, "--log", dense_log, "--renumber"]) == 0
+        assert json.loads(plain_log.read_text())["survivors"] == [2, 3, 4]
+        assert run(["verify", src, plain, plain_log]) == 0
+        assert run(["verify", src, dense, dense_log]) == 0
+        capsys.readouterr()
+        assert run(["verify", src, dense, plain_log]) == 2
+        assert run(["verify", src, plain, dense_log]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["bogus/9", None])
+    def test_verify_rejects_unknown_log_format(self, tmp_path, capsys, fmt):
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        doc = json.loads(log.read_text())
+        if fmt is None:
+            del doc["format"]
+        else:
+            doc["format"] = fmt
         log.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["verify", src, red, log]) == 2

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import (
-    RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, random_instance,
+    RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, random_instance, replay,
 )
 from quboreduce import rules
 from quboreduce.engine import (
-    EngineOptions, ReductionLog, ResidualScheduler, SolutionMap,
-    reconstruct_solution, run_first_pass, run_residual_pass, run_to_fixed_point,
-    verify_fixed_point,
+    EngineOptions, ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced,
+    _Reducer, reconstruct_solution, run_first_pass, run_residual_pass,
+    run_to_fixed_point, verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
@@ -124,24 +124,17 @@ class TestRunToFixedPoint:
             assert check_equivalence(inst, reduced, smap).ok
         assert capped > 0
 
-    def test_rule_order_is_configurable(self):
+    def test_fixed_order_prefers_pair_zero(self):
         inst = build_from_triplets(2, [(1, 1, -1), (2, 2, -1), (1, 2, 2)])
         # both the pair-zero and pair-one rules fire at their boundary here;
-        # the configured order decides which applies
-        _, log_a, _ = run_to_fixed_point(
-            inst, EngineOptions(rule_order=("R3_1", "R3_2", "R3_3", "R3_4", "R2_5", "R2_6"))
-        )
-        _, log_b, _ = run_to_fixed_point(
-            inst, EngineOptions(rule_order=("R3_4", "R3_3", "R3_2", "R3_1", "R2_6", "R2_5"))
-        )
-        assert "R3_1" in log_a.per_rule_counts
-        assert "R3_4" in log_b.per_rule_counts
+        # a positive edge probes pair-zero first
+        _, log, _ = run_to_fixed_point(inst)
+        assert "R3_1" in log.per_rule_counts
+        assert "R3_4" not in log.per_rule_counts
 
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
             EngineOptions(max_passes=0)
-        with pytest.raises(ValueError):
-            EngineOptions(rule_order=("R9_9",))
 
 
 class TestVerifyFixedPoint:
@@ -237,40 +230,78 @@ class TestResidual:
         assert not verify_fixed_point(state)  # full rule 2.5 fires up front
 
 
+@pytest.fixture
+def probes(monkeypatch):
+    """Every (pass, i, h) pair probe of the runs in a test, in order."""
+    seen = []
+    probe = _Reducer._try_pair
+
+    def recording(self, pass_no, i, h):
+        seen.append((pass_no, i, h))
+        return probe(self, pass_no, i, h)
+
+    monkeypatch.setattr(_Reducer, "_try_pair", recording)
+    return seen
+
+
 class TestInstrumentation:
-    def test_no_duplicate_pair_probes_within_pass(self):
+    def test_no_duplicate_pair_probes_within_pass(self, probes):
         rng = random.Random(70)
         for _ in range(120):
             inst = random_instance(rng, rng.randint(2, 12))
-            _, log, _ = run_to_fixed_point(inst, EngineOptions(instrument=True))
+            probes.clear()
+            run_to_fixed_point(inst)
             seen = set()
-            for pass_no, i, h in log.probes:
+            for pass_no, i, h in probes:
                 key = (pass_no, min(i, h), max(i, h))
                 assert key not in seen, f"pair {key} probed twice"
                 seen.add(key)
 
-    def test_pair_fix_ends_the_turn(self):
+    def test_pair_fix_ends_the_turn(self, probes):
         # after a pair-assignment fires for i, no further partner of i is
         # probed within the pass
         rng = random.Random(71)
         for _ in range(150):
             inst = random_instance(rng, rng.randint(3, 12))
-            opts = EngineOptions(instrument=True)
-            _, log, _ = run_to_fixed_point(inst, opts)
+            probes.clear()
+            _, log, _ = run_to_fixed_point(inst)
             pair_events = [
                 (ev.pass_number, ev.verdict.conclusion)
                 for ev in log.events
                 if isinstance(ev.verdict.conclusion, rules.PairFix)
             ]
             for pass_no, concl in pair_events:
-                probes = [p for p in log.probes if p[0] == pass_no]
+                in_pass = [p for p in probes if p[0] == pass_no]
                 fired_idx = next(
-                    k for k, (_, i, h) in enumerate(probes)
+                    k for k, (_, i, h) in enumerate(in_pass)
                     if {i, h} == {concl.i, concl.h}
                 )
-                later = probes[fired_idx + 1:]
+                later = in_pass[fired_idx + 1:]
                 assert all(concl.i not in (i, h) and concl.h not in (i, h)
                            for _, i, h in later)
+
+
+class TestReplay:
+    def test_replay_rebuilds_the_run(self):
+        rng = random.Random(72)
+        mined = 0
+        for _ in range(150):
+            inst = random_instance(rng, rng.randint(2, 14))
+            reduced, log, smap = run_to_fixed_point(
+                inst, EngineOptions(emit_inequalities=True)
+            )
+            seen_events = set()
+            for st in replay(inst, log.events):
+                st.check_consistency()
+                seen_events.add(st.events)
+            survivors = st.free_variables()
+            assert survivors == smap.survivors
+            assert st.offset == reduced.offset
+            assert _dense_reduced(st, survivors) == reduced
+            for rec in log.inequality_records:
+                assert rec.snapshot_id in seen_events
+                mined += 1
+        assert mined > 0
 
 
 class TestUniquenessPropagation:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quboreduce.model import (
-    QuboFormatError, QuboInstance, Solution, build_from_triplets, evaluate,
+    QuboFormatError, QuboInstance, build_from_triplets, evaluate,
     ising_to_qubo, read_instance, write_instance,
 )
 
@@ -91,14 +91,6 @@ class TestEvaluate:
             for i, j, v in entries:
                 direct += v * x[i - 1] * x[j - 1]
             assert evaluate(inst, x) == direct
-
-
-class TestSolution:
-    def test_objective_matches_evaluate(self):
-        inst = build_from_triplets(2, [(1, 1, 3), (1, 2, 2)])
-        sol = Solution.of(inst, (1, 1))
-        assert sol.objective == 5
-        assert sol.values == {1: 1, 2: 1}
 
 
 class TestIsingToQubo:

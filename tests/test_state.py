@@ -99,7 +99,7 @@ class TestSubstitutions:
         assert st.offset == 1
         assert st.c[1] == 0 and st.c[3] == 3
         assert st.adj[1].get(3) == -1 and st.adj[3].get(1) == -1
-        assert st.status[2] == COMPLEMENT_OF and st.status_ref[2] == 1
+        assert st.status[2] == COMPLEMENT_OF and st.identity_log == [(2, COMPLEMENT_OF, 1)]
         st.check_consistency()
         # both problems have optimum 4
         assert brute_force_solve(st.snapshot()).optimum == 4
@@ -124,7 +124,7 @@ class TestSubstitutions:
         st = init_state(two_var(-1, -1, 2))
         st.apply_substitution_equal(1, 2)
         assert st.c[1] == 0 and not st.adj[1]
-        assert st.status[2] == SAME_AS and st.status_ref[2] == 1
+        assert st.status[2] == SAME_AS and st.identity_log == [(2, SAME_AS, 1)]
         assert brute_force_solve(st.snapshot()).optimum == 0
 
     def test_equal_without_edge(self):
