@@ -9,6 +9,7 @@ log document carries the id translation table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -137,6 +138,12 @@ def _malformed_log(exc: Exception) -> int:
     return 2
 
 
+def _unsupported_format(log_format) -> int:
+    print(f"error: unsupported log format {log_format!r} (expected {LOG_FORMAT})",
+          file=sys.stderr)
+    return 2
+
+
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
     return engine.SolutionMap(
         assignments=[(int(v), int(val)) for v, val in doc["assignments"]],
@@ -238,20 +245,25 @@ def cmd_reduce(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    start = time.perf_counter()
-    reduced, log, solution_map = engine.run_to_fixed_point(original, options)
-    elapsed = time.perf_counter() - start
-    doc = log_document(original, reduced, log, solution_map, elapsed,
-                       renumber=args.renumber)
     try:
-        if args.output:
-            emitted = reduced if args.renumber else to_original_ids(
-                reduced, solution_map.survivors, original.n
+        with contextlib.ExitStack() as files:
+            # Opened before reducing, so a bad output path fails at once.
+            out_fh, log_fh = (
+                files.enter_context(open(path, "w", encoding="utf-8")) if path else None
+                for path in (args.output, args.log)
             )
-            write_instance(emitted, args.output)
-        if args.log:
-            with open(args.log, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
+            start = time.perf_counter()
+            reduced, log, solution_map = engine.run_to_fixed_point(original, options)
+            elapsed = time.perf_counter() - start
+            doc = log_document(original, reduced, log, solution_map, elapsed,
+                               renumber=args.renumber)
+            if out_fh:
+                emitted = reduced if args.renumber else to_original_ids(
+                    reduced, solution_map.survivors, original.n
+                )
+                write_instance(emitted, out_fh)
+            if log_fh:
+                json.dump(doc, log_fh, indent=1)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -275,9 +287,7 @@ def cmd_verify(args) -> int:
     except _MALFORMED_LOG as exc:
         return _malformed_log(exc)
     if log_format != LOG_FORMAT:
-        print(f"error: unsupported log format {log_format!r} (expected {LOG_FORMAT})",
-              file=sys.stderr)
-        return 2
+        return _unsupported_format(log_format)
     try:
         dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
         report = oracle.check_equivalence(original, dense, solution_map,
@@ -341,9 +351,12 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        log_format = doc["format"]
         report = report_from_document(doc)
     except _MALFORMED_LOG as exc:
         return _malformed_log(exc)
+    if log_format != LOG_FORMAT:
+        return _unsupported_format(log_format)
     print(report.table())
     return 0
 

@@ -13,6 +13,7 @@ sums quantify only over real edges.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -257,8 +258,12 @@ def read_instance(path) -> QuboInstance:
 
 
 def write_instance(instance: QuboInstance, path, header: Sequence[str] = ()) -> None:
-    """Write the canonical text form: offset first, then l lines, then q lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the canonical text form: offset first, then l lines, then q lines.
+
+    ``path`` is a file name or an open text file, which is left open.
+    """
+    opened = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8")
+    with opened as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(f"p qubo {instance.n}\n")

@@ -1,8 +1,19 @@
 """Exact enumeration solver and reduction equivalence checker.
 
-The solver enumerates all 2^n assignments with vectorized integer arithmetic,
-so every optimum is exact and *all* optimal assignments can be collected
-(capped).  It exists to verify reductions, not to compete with real solvers.
+The solver enumerates all 2^n assignments once, in increasing index order
+(bit k of the index is variable k+1), so every optimum is exact and *all*
+optimal assignments can be collected (capped).  It exists to verify
+reductions, not to compete with real solvers.
+
+Values are built by doubling: with the first k variables' values in
+``vals[:2**k]``, setting variable k+1 gives ``vals[2**k + y] = vals[y] + c +
+cross[y]``, where ``cross[y]`` (the couplings to the set lower bits of y) is
+built by doubling too.  Each value is one int64 add, against a matmul over
+all n bits.  The low ``_CHUNK_BITS`` variables are enumerated once; every
+setting of the remaining high variables shifts that table by a scalar plus an
+affine term in the low bits, so memory stays at a few 2^16-entry arrays
+however large n is.  Every partial sum is a subset sum of the coefficients,
+so the ``< 2^62`` magnitude guard keeps the int64 arithmetic exact.
 """
 
 from __future__ import annotations
@@ -37,6 +48,30 @@ def _dense_arrays(instance: QuboInstance) -> tuple[np.ndarray, np.ndarray]:
     return c, upper
 
 
+def _subset_sums(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[y]`` with the sum of ``weights[j]`` over the set bits j of y.
+
+    ``weights`` may be 2-D, giving one row of sums per y.
+    """
+    out[0] = 0
+    for j, w in enumerate(weights):
+        np.add(out[: 1 << j], w, out=out[1 << j : 2 << j])
+    return out[: 1 << len(weights)]
+
+
+def _objective_values(c: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Objective (offset excluded) of every assignment of ``len(c)`` variables."""
+    m = len(c)
+    vals = np.empty(1 << m, dtype=np.int64)
+    cross = np.empty(1 << max(m - 1, 0), dtype=np.int64)
+    vals[0] = 0
+    for k in range(m):
+        half = vals[1 << k : 2 << k]
+        np.add(vals[: 1 << k], _subset_sums(upper[:k, k], cross), out=half)
+        half += c[k]
+    return vals
+
+
 def brute_force_solve(instance: QuboInstance, n_limit: int = 24) -> OracleResult:
     """Enumerate every assignment; return the optimum and all optima (capped)."""
     n = instance.n
@@ -52,33 +87,34 @@ def brute_force_solve(instance: QuboInstance, n_limit: int = 24) -> OracleResult
     if magnitude >= 1 << 62:
         raise ValueError("coefficient magnitudes overflow the oracle's arithmetic")
     c, upper = _dense_arrays(instance)
-    total = 1 << n
-    chunk = 1 << min(n, _CHUNK_BITS)
-    shifts = np.arange(n, dtype=np.int64)
-
-    def chunk_values(start: int) -> np.ndarray:
-        idx = np.arange(start, start + chunk, dtype=np.int64)
-        bits = (idx[:, None] >> shifts) & 1
-        return bits @ c + np.einsum("ij,ij->i", bits @ upper, bits)
-
+    low = min(n, _CHUNK_BITS)
+    low_vals = _objective_values(c[:low], upper[:low, :low])
+    high_vals = _objective_values(c[low:], upper[low:, low:])
+    # Row h: each low variable's couplings to the set high variables of h.
+    high_cross = _subset_sums(
+        upper[:low, low:].T, np.empty((len(high_vals), low), dtype=np.int64)
+    )
+    affine = np.empty(1 << low, dtype=np.int64)
+    chunk = np.empty(1 << low, dtype=np.int64)
     best = None
-    for start in range(0, total, chunk):
-        m = int(chunk_values(start).max())
+    count = 0  # optima seen at the current best
+    kept: list[np.ndarray] = []  # their indices, the first OPTIMA_CAP of them
+    for h, scalar in enumerate(high_vals.tolist()):
+        np.add(low_vals, _subset_sums(high_cross[h], affine), out=chunk)
+        m = int(chunk.max()) + scalar
         if best is None or m > best:
-            best = m
-    optima: list[tuple[int, ...]] = []
-    truncated = False
-    for start in range(0, total, chunk):
-        vals = chunk_values(start)
-        for off in np.flatnonzero(vals == best):
-            if len(optima) >= OPTIMA_CAP:
-                truncated = True
-                break
-            idx = start + int(off)
-            optima.append(tuple((idx >> k) & 1 for k in range(n)))
-        if truncated:
-            break
-    return OracleResult(best + instance.offset, optima, total, truncated)
+            best, count, kept = m, 0, []
+        elif m < best:
+            continue
+        hits = np.flatnonzero(chunk == m - scalar)
+        room = OPTIMA_CAP - count
+        if room > 0:
+            kept.append(hits[:room] + (h << low))
+        count += len(hits)
+    idx = np.concatenate(kept)
+    bits = (idx[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    optima = list(map(tuple, bits.tolist()))
+    return OracleResult(best + instance.offset, optima, 1 << n, count > OPTIMA_CAP)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_instance
+from quboreduce import engine
 from quboreduce.cli import main
 from quboreduce.model import read_instance, write_instance
 
@@ -140,6 +141,28 @@ class TestReduceVerify:
         assert run(["reduce", src, flag, tmp_path / "missing" / "out"]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["-o", "--log"])
+    def test_unwritable_output_fails_before_reducing(self, tmp_path, capsys,
+                                                     monkeypatch, flag):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("reduced despite an unwritable output path")
+
+        monkeypatch.setattr(engine, "run_to_fixed_point", must_not_run)
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 2\nl 1 1\n")
+        assert run(["reduce", src, flag, tmp_path / "missing" / "out"]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_unparsable_input_leaves_outputs_untouched(self, tmp_path):
+        bad = tmp_path / "bad.qubo"
+        bad.write_text("p qubo 2\nl 3 1\n")
+        out = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        out.write_text("old instance")
+        log.write_text("old log")
+        assert run(["reduce", bad, "-o", out, "--log", log]) == 2
+        assert out.read_text() == "old instance" and log.read_text() == "old log"
+
     def test_unreadable_input(self, tmp_path):
         assert run(["reduce", tmp_path / "missing.qubo"]) == 2
 
@@ -267,6 +290,20 @@ class TestReport:
 
     def test_report_missing_file(self, tmp_path):
         assert run(["report", tmp_path / "nope.json"]) == 2
+
+    def test_report_rejects_unknown_log_format(self, tmp_path, capsys):
+        src = tmp_path / "in.qubo"
+        log = tmp_path / "log.json"
+        write_instance(random_instance(random.Random(41), 10), src)
+        run(["reduce", src, "--log", log])
+        doc = json.loads(log.read_text())
+        doc["format"] = "bogus/9"
+        log.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["report", log]) == 2
+        captured = capsys.readouterr()
+        assert "error: unsupported log format" in captured.err
+        assert "rule" not in captured.out
 
     @pytest.mark.parametrize("text", ["{}", "[]"])
     def test_report_malformed_document(self, tmp_path, capsys, text):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import optima_by_enumeration, random_instance
 from quboreduce import run_to_fixed_point
 from quboreduce.engine import SolutionMap
 from quboreduce.model import QuboInstance, build_from_triplets
+from quboreduce import oracle
 from quboreduce.oracle import brute_force_solve, check_equivalence
 
 
@@ -75,6 +77,64 @@ class TestBruteForce:
         inst = QuboInstance(17, {}, {}, 0)  # every assignment is optimal
         res = brute_force_solve(inst)
         assert res.truncated and len(res.optima) == 1 << 16
+        # The kept optima are the first 2^16 in index order.
+        assert all(
+            opt == tuple((k >> b) & 1 for b in range(17))
+            for k, opt in enumerate(res.optima)
+        )
+        # Exactly 2^16 optima, spread over both chunks, are not truncated.
+        res = brute_force_solve(QuboInstance(17, {1: -1}, {}, 0))
+        assert not res.truncated and len(res.optima) == 1 << 16
+        assert res.optima[-1] == (0,) + (1,) * 16
+
+    @pytest.mark.parametrize("chunk_bits", [2, 3])
+    def test_optima_order_across_chunks(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+        rng = random.Random(100 + chunk_bits)
+        for _ in range(120):
+            # Small coefficients make ties, so optima span several chunks.
+            inst = random_instance(rng, rng.randint(1, 10), coef=rng.choice([1, 2, 10]))
+            best, opts = optima_by_enumeration(inst)
+            res = brute_force_solve(inst)
+            assert res.optimum == best
+            assert res.optima == opts
+            assert res.evaluated_count == 1 << inst.n and not res.truncated
+
+    def test_overflow_guard_boundary(self):
+        # Sum of |coefficients| (offset included) is 2^62 - 1: still exact.
+        inst = QuboInstance(
+            3, {1: 1 << 61, 3: -(1 << 59)}, {(1, 2): -(1 << 60)}, (1 << 59) - 1
+        )
+        best, opts = optima_by_enumeration(inst)
+        res = brute_force_solve(inst)
+        assert res.optimum == best and res.optima == opts
+        with pytest.raises(ValueError, match="overflow"):
+            brute_force_solve(QuboInstance(3, inst.linear, inst.quadratic, 1 << 59))
+
+    def test_independent_blocks_at_the_limit(self):
+        # 24 variables in blocks of bits 0-4, 5-9, 10-14, 15-19 and 20-23;
+        # the block on bits 15-19 straddles the default 16-bit chunk.
+        rng = random.Random(24)
+        starts = [0, 5, 10, 15, 20]
+        sizes = [5, 5, 5, 5, 4]
+        entries, block_results = [], []
+        for start, size in zip(starts, sizes):
+            block = random_instance(rng, size, coef=2)
+            block_results.append(optima_by_enumeration(block))
+            entries += [(start + i, start + i, v) for i, v in block.linear.items()]
+            entries += [(start + i, start + j, v) for (i, j), v in block.quadratic.items()]
+        inst = build_from_triplets(24, entries)
+        res = brute_force_solve(inst)
+        assert oracle._CHUNK_BITS == 16
+        assert res.optimum == sum(best for best, _ in block_results)
+        # Index order: the last block's bits are the most significant.
+        expected = [
+            sum(reversed(parts), ())
+            for parts in itertools.product(*[opts for _, opts in reversed(block_results)])
+        ]
+        assert len(expected) > 1
+        assert res.optima == expected
+        assert res.evaluated_count == 1 << 24 and not res.truncated
 
 
 class TestCheckEquivalence:
