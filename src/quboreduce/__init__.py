@@ -8,8 +8,8 @@ oracle for verifying reductions end to end.
 """
 
 from .engine import (
-    EngineOptions, ReductionLog, SolutionMap, reconstruct_solution,
-    run_to_fixed_point, verify_fixed_point,
+    ReductionLog, SolutionMap, reconstruct_solution, run_to_fixed_point,
+    verify_fixed_point,
 )
 from .generator import DesignRow, GeneratorSpec, design_table, generate_instance
 from .model import (
@@ -22,7 +22,6 @@ from .state import ReductionState, init_state
 __version__ = "0.1.0"
 
 __all__ = [
-    "EngineOptions",
     "ReductionLog",
     "SolutionMap",
     "reconstruct_solution",

@@ -208,13 +208,17 @@ def cmd_generate(args) -> int:
     if args.suite:
         base = generator.DESK_SIZES if args.suite == "desk" else generator.STANDARD_SIZES
         out_dir = args.output
-        os.makedirs(out_dir, exist_ok=True)
-        suite = generator.generate_benchmark_suite(
-            list(base), rows, seed=args.seed, hub_fraction=args.hub_fraction
-        )
-        for item in suite:
-            path = os.path.join(out_dir, f"{item.label}_row{item.row_id:02d}.qubo")
-            write_instance(item.instance, path, header=_spec_header(item.spec))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            suite = generator.generate_benchmark_suite(
+                list(base), rows, seed=args.seed, hub_fraction=args.hub_fraction
+            )
+            for item in suite:
+                path = os.path.join(out_dir, f"{item.label}_row{item.row_id:02d}.qubo")
+                write_instance(item.instance, path, header=_spec_header(item.spec))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(suite)} instances to {out_dir}")
         return 0
     if not 1 <= args.design_row <= len(rows):
@@ -226,10 +230,10 @@ def cmd_generate(args) -> int:
     )
     try:
         instance = generator.generate_instance(spec)
-    except ValueError as exc:
+        write_instance(instance, args.output, header=_spec_header(spec))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write_instance(instance, args.output, header=_spec_header(spec))
     print(f"wrote {args.output}: n={instance.n} edges={instance.num_edges}")
     return 0
 
@@ -237,12 +241,7 @@ def cmd_generate(args) -> int:
 def cmd_reduce(args) -> int:
     try:
         original = read_instance(args.instance)
-        options = engine.EngineOptions(
-            max_passes=args.max_passes,
-            enable_residual=not args.no_residual,
-            emit_inequalities=args.emit_inequalities,
-        )
-    except (OSError, ValueError) as exc:
+    except (OSError, QuboFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -253,7 +252,9 @@ def cmd_reduce(args) -> int:
                 for path in (args.output, args.log)
             )
             start = time.perf_counter()
-            reduced, log, solution_map = engine.run_to_fixed_point(original, options)
+            reduced, log, solution_map = engine.run_to_fixed_point(
+                original, args.emit_inequalities
+            )
             elapsed = time.perf_counter() - start
             doc = log_document(original, reduced, log, solution_map, elapsed,
                                renumber=args.renumber)
@@ -384,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("-o", "--output", help="reduced instance file")
     p.add_argument("--log", help="JSON log/solution-map document")
-    p.add_argument("--max-passes", type=int, default=None)
-    p.add_argument("--no-residual", action="store_true")
     p.add_argument("--emit-inequalities", action="store_true")
     p.add_argument("--renumber", action="store_true",
                    help="emit the reduced instance densely renumbered")

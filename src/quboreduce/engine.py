@@ -25,24 +25,6 @@ from .model import QuboInstance
 from .state import FREE, SAME_AS, ReductionState, init_state
 
 @dataclass
-class EngineOptions:
-    """Knobs for a reduction run.
-
-    max_passes caps the scan passes; enable_residual turns the
-    post-termination substitution sweep on; emit_inequalities mines pairwise
-    inequalities that do not complete a substitution.
-    """
-
-    max_passes: int | None = None
-    enable_residual: bool = True
-    emit_inequalities: bool = False
-
-    def __post_init__(self):
-        if self.max_passes is not None and self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
-
-
-@dataclass
 class LoggedEvent:
     pass_number: int
     verdict: rules.RuleVerdict
@@ -67,7 +49,11 @@ class ReductionLog:
     inequality_records: list[InequalityRecord] = field(default_factory=list)
     per_rule_counts: Counter = field(default_factory=Counter)
     pass_drops: list[int] = field(default_factory=list)
-    pass_count: int = 0
+
+    @property
+    def pass_count(self) -> int:
+        """Scan passes run: each appends exactly one pass_drops entry."""
+        return len(self.pass_drops)
 
 
 @dataclass
@@ -124,7 +110,6 @@ class ResidualScheduler:
     """
 
     def __init__(self, n: int):
-        self.n = n
         self.a_flag = [False] * (n + 1)
         self.b_flag = [False] * (n + 1)
         self.c_flag = [False] * (n + 1)
@@ -191,16 +176,12 @@ _MINE_AT_EXTREME = {
 
 class _Reducer:
     def __init__(
-        self,
-        state: ReductionState,
-        log: ReductionLog,
-        options: EngineOptions,
-        scheduler: ResidualScheduler | None = None,
+        self, state: ReductionState, log: ReductionLog, emit_inequalities: bool = False
     ):
         self.s = state
         self.log = log
-        self.opt = options
-        self.sched = scheduler or ResidualScheduler(state.n)
+        self.emit_inequalities = emit_inequalities
+        self.sched = ResidualScheduler(state.n)
         # stamps[v] is touched[v] at v's last no-fire single-variable exam;
         # the exam only needs repeating once the row changes again.
         self.stamps = [-1] * (state.n + 1)
@@ -298,7 +279,7 @@ class _Reducer:
             v = (rules.rule_pair_one_zero(s, i, h) or rules.rule_pair_zero_one(s, i, h)
                  or self._reduced_complement(i, h))
         if v is None:
-            if self.opt.emit_inequalities:
+            if self.emit_inequalities:
                 self._mine(pass_no, i, h)
             return None
         self._apply(pass_no, v)
@@ -409,7 +390,6 @@ class _Reducer:
                     cur.i_loc += 1
                 break
         self.log.pass_drops.append(self._drops)
-        self.log.pass_count = pass_no
         return PassSummary(pass_no, self._drops, early, examined)
 
     def setup_next_pass(self) -> None:
@@ -524,25 +504,14 @@ class _Reducer:
 # --- public entry points ---------------------------------------------------
 
 
-def run_first_pass(
-    state: ReductionState,
-    log: ReductionLog,
-    options: EngineOptions | None = None,
-) -> PassSummary:
+def run_first_pass(state: ReductionState, log: ReductionLog) -> PassSummary:
     """Run one scan pass over the current i-group of an existing state."""
-    reducer = _Reducer(state, log, options or EngineOptions())
-    return reducer.run_pass(log.pass_count + 1)
+    return _Reducer(state, log).run_pass(log.pass_count + 1)
 
 
-def run_residual_pass(
-    state: ReductionState,
-    scheduler: ResidualScheduler,
-    log: ReductionLog,
-    options: EngineOptions | None = None,
-) -> int:
+def run_residual_pass(state: ReductionState, log: ReductionLog) -> int:
     """Run the residual substitution sweep; returns the substitution count."""
-    reducer = _Reducer(state, log, options or EngineOptions(), scheduler)
-    return reducer.run_residual(max(log.pass_count, 1))
+    return _Reducer(state, log).run_residual(max(log.pass_count, 1))
 
 
 def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
@@ -558,29 +527,25 @@ def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
 
 
 def run_to_fixed_point(
-    instance: QuboInstance,
-    options: EngineOptions | None = None,
+    instance: QuboInstance, emit_inequalities: bool = False
 ) -> tuple[QuboInstance, ReductionLog, SolutionMap]:
-    """Reduce an instance until no rule fires (or the pass cap is reached).
+    """Reduce an instance until no rule fires.
 
     Returns the reduced problem indexed densely over the survivors (position
     k corresponds to original variable ``solution_map.survivors[k-1]``), the
-    event log, and the solution map for reconstruction.
+    event log, and the solution map for reconstruction.  With
+    emit_inequalities, pairwise inequalities that do not complete a
+    substitution are mined into ``log.inequality_records``.
     """
-    opt = options or EngineOptions()
     state = init_state(instance)
     log = ReductionLog()
-    reducer = _Reducer(state, log, opt)
+    reducer = _Reducer(state, log, emit_inequalities)
     pass_no = 0
     while True:
         pass_no += 1
-        summary = reducer.run_pass(pass_no)
-        if opt.max_passes is not None and pass_no >= opt.max_passes:
-            break
-        if summary.drops == 0 or summary.early_stop:
-            if opt.enable_residual and reducer.run_residual(pass_no):
-                reducer.setup_next_pass()
-                continue
+        # A pass that stops early has dropped nothing: any drop moves its
+        # stop marker past every position.
+        if not reducer.run_pass(pass_no).drops and not reducer.run_residual(pass_no):
             break
         reducer.setup_next_pass()
     survivors = state.free_variables()

@@ -22,11 +22,6 @@ FIXED_ONE = 2
 SAME_AS = 3        # x_var == x_ref
 COMPLEMENT_OF = 4  # x_var == 1 - x_ref
 
-# Test hook.  When False the complement substitution omits the c_j += d_hj
-# compensation on the eliminated row's neighbours, which silently corrupts
-# the objective; kept switchable so the regression suite can pin the failure.
-COMPLEMENT_LINEAR_COMPENSATION = True
-
 
 @dataclass
 class ScanCursor:
@@ -195,7 +190,6 @@ class ReductionState:
         adj_i = self.adj[i]
         hrow = list(self.adj[h].items())
         self.adj[h].clear()
-        compensate = sign < 0 and COMPLEMENT_LINEAR_COMPENSATION
         ev = self.events
         self.touched[i] = ev
         for j, dhj in hrow:
@@ -206,7 +200,7 @@ class ReductionState:
                 self.d_minus[j] -= dhj
             else:
                 self.d_plus[j] -= dhj
-            if compensate:
+            if sign < 0:
                 # x_h = 1 - x_i turns d_hj x_h x_j into d_hj x_j - d_hj x_i x_j.
                 self.c[j] += dhj
             old = adj_i.get(j, 0)

@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
+
 from quboreduce import rules
 from quboreduce.engine import apply_conclusion
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
-from quboreduce.state import init_state
+from quboreduce.state import ReductionState, init_state
 
 
 def random_instance(rng: random.Random, n: int, coef: int = 10,
@@ -105,6 +107,25 @@ def catalog_firings(st) -> list:
             if i < h and i not in fixable and h not in fixable:
                 out.extend(rules.derive_pair_inequalities(st, i, h))
     return out
+
+
+@pytest.fixture
+def uncompensated_complement(monkeypatch):
+    """Mutant complement substitution that omits the c_j += d_hj compensation.
+
+    x_h = 1 - x_i turns each d_hj x_h x_j into d_hj x_j - d_hj x_i x_j; losing
+    the linear part silently corrupts the objective, so the soundness checks
+    must catch this mutant.
+    """
+    substitute = ReductionState.apply_substitution_complement
+
+    def mutant(self, i, h):
+        row = [(j, d) for j, d in self.adj[h].items() if j != i]
+        substitute(self, i, h)
+        for j, d in row:
+            self.c[j] -= d
+
+    monkeypatch.setattr(ReductionState, "apply_substitution_complement", mutant)
 
 
 def replay(instance: QuboInstance, events):

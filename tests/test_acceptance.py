@@ -15,10 +15,10 @@ from conftest import (
     check_verdict_against_optima, optima_by_enumeration, replay,
     restricted_optimum, sweep_instance,
 )
-from quboreduce import rules, state as state_mod
+from quboreduce import rules
 from quboreduce.engine import (
-    EngineOptions, ReductionLog, ResidualScheduler, run_first_pass,
-    run_residual_pass, run_to_fixed_point, verify_fixed_point,
+    ReductionLog, run_first_pass, run_residual_pass, run_to_fixed_point,
+    verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import build_from_triplets, evaluate
@@ -166,7 +166,7 @@ def _check_derived_examples():
     log = ReductionLog()
     run_first_pass(state, log)
     assert not log.events
-    assert run_residual_pass(state, ResidualScheduler(state.n), log) == 1
+    assert run_residual_pass(state, log) == 1
 
 
 def test_criterion_2_rule_micro_suite(sweep):
@@ -212,11 +212,10 @@ def test_criterion_3_fixed_point_completeness(sweep):
           f"reruns produce zero events")
 
 
-def test_criterion_4_compensation_term_regression(monkeypatch):
-    # With the compensation term disabled, soundness must break on some
+def test_criterion_4_compensation_term_regression(uncompensated_complement):
+    # With the compensation term dropped, soundness must break on some
     # instance whose run eliminates a variable of degree >= 2 by the
-    # complement substitution; with it enabled (criterion 1) there are none.
-    monkeypatch.setattr(state_mod, "COMPLEMENT_LINEAR_COMPENSATION", False)
+    # complement substitution; with it in place (criterion 1) there are none.
     broke = None
     for t in range(SWEEP_SIZE):
         inst = sweep_instance(t)
@@ -237,9 +236,9 @@ def test_criterion_4_compensation_term_regression(monkeypatch):
             broke = (t, report.message)
             break
     assert broke is not None, (
-        "disabling the complement compensation term never broke soundness"
+        "dropping the complement compensation term never broke soundness"
     )
-    print(f"\nACCEPTANCE 4: PASS - compensation term pinned: disabling it breaks "
+    print(f"\nACCEPTANCE 4: PASS - compensation term pinned: dropping it breaks "
           f"instance {broke[0]} ({broke[1]})")
 
 
@@ -277,7 +276,6 @@ def test_criterion_6_penalty_correctness():
         rules.InequalityKind.I_LE_H: lambda x, i, h: x[i - 1] <= x[h - 1],
         rules.InequalityKind.H_LE_I: lambda x, i, h: x[h - 1] <= x[i - 1],
     }
-    options = EngineOptions(emit_inequalities=True)
     instances_checked = 0
     records_checked = 0
     t = 0
@@ -286,7 +284,7 @@ def test_criterion_6_penalty_correctness():
         inst = sweep_instance(100000 + t)
         if inst.n > 12:
             continue
-        _, log, _ = run_to_fixed_point(inst, options)
+        _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
         qualifying = [
             rec for rec in log.inequality_records
             if isinstance(rec.verdict.conclusion, rules.Inequality)

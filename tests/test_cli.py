@@ -33,6 +33,17 @@ class TestGenerate:
         code = run(["generate", "--design-row", 17, "-o", tmp_path / "x.qubo"])
         assert code == 2
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.qubo"
+        assert run(["generate", "--size", 20, "--edges", 40, "-o", out]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_suite_onto_existing_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["generate", "--suite", "desk", "-o", out]) == 2
+        assert "error: " in capsys.readouterr().err
+
 
 class TestReduceVerify:
     def test_round_trip(self, tmp_path, capsys):
@@ -84,8 +95,10 @@ class TestReduceVerify:
         assert run(["reduce", src, "--log", log]) == 0
         out = capsys.readouterr().out
         assert "3 -> 0" in out and "(100.0% reduction)" in out
+        assert "passes           2" in out
         doc = json.loads(log.read_text())
         assert doc["offset"] == 4
+        assert doc["passes"] == 2 and doc["pass_drops"] == [3, 0]
         assert doc["per_rule_counts"] == {"R3_2": 1, "R1_0": 1}
 
     def test_rule_silent_reduce_is_identity(self, tmp_path, capsys):
@@ -97,14 +110,6 @@ class TestReduceVerify:
         assert run(["reduce", src, "-o", red]) == 0
         assert read_instance(red) == read_instance(src)
         assert "(0.0% reduction)" in capsys.readouterr().out
-
-    def test_max_passes_flag(self, tmp_path, capsys):
-        src = tmp_path / "m.qubo"
-        inst = random_instance(random.Random(23), 14)
-        write_instance(inst, src)
-        assert run(["reduce", src, "--max-passes", 1]) == 0
-        out = capsys.readouterr().out
-        assert "passes           1" in out
 
     def test_corrupted_map_fails_verification(self, tmp_path, capsys):
         src = tmp_path / "in.qubo"
@@ -127,12 +132,6 @@ class TestReduceVerify:
         log = tmp_path / "big_log.json"
         run(["reduce", src, "-o", red, "--log", log])
         assert run(["verify", src, red, log]) == 2
-
-    def test_zero_max_passes_is_usage_error(self, tmp_path, capsys):
-        src = tmp_path / "m.qubo"
-        src.write_text("p qubo 2\nl 1 1\n")
-        assert run(["reduce", src, "--max-passes", 0]) == 2
-        assert "error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["-o", "--log"])
     def test_unwritable_output_is_input_error(self, tmp_path, capsys, flag):

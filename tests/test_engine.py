@@ -4,12 +4,13 @@ import pytest
 
 from conftest import (
     RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, random_instance, replay,
+    sweep_instance,
 )
 from quboreduce import rules
 from quboreduce.engine import (
-    EngineOptions, ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced,
-    _Reducer, reconstruct_solution, run_first_pass, run_residual_pass,
-    run_to_fixed_point, verify_fixed_point,
+    ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced, _Reducer,
+    reconstruct_solution, run_first_pass, run_residual_pass, run_to_fixed_point,
+    verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
@@ -108,22 +109,6 @@ class TestRunToFixedPoint:
             _, log, _ = run_to_fixed_point(inst)
             assert log.pass_count <= n + 1
 
-    def test_max_passes_cap(self):
-        rng = random.Random(53)
-        capped = 0
-        for _ in range(200):
-            inst = random_instance(rng, rng.randint(6, 14))
-            _, full_log, _ = run_to_fixed_point(inst)
-            if full_log.pass_count <= 1:
-                continue
-            reduced, log, smap = run_to_fixed_point(inst, EngineOptions(max_passes=1))
-            assert log.pass_count == 1
-            if len(smap.survivors) > 0:
-                capped += 1
-            # capped runs are still sound
-            assert check_equivalence(inst, reduced, smap).ok
-        assert capped > 0
-
     def test_fixed_order_prefers_pair_zero(self):
         inst = build_from_triplets(2, [(1, 1, -1), (2, 2, -1), (1, 2, 2)])
         # both the pair-zero and pair-one rules fire at their boundary here;
@@ -131,10 +116,6 @@ class TestRunToFixedPoint:
         _, log, _ = run_to_fixed_point(inst)
         assert "R3_1" in log.per_rule_counts
         assert "R3_4" not in log.per_rule_counts
-
-    def test_bad_options_rejected(self):
-        with pytest.raises(ValueError):
-            EngineOptions(max_passes=0)
 
 
 class TestVerifyFixedPoint:
@@ -159,8 +140,7 @@ class TestResidual:
         # put every node in the h-group as after a completed pass
         log = ReductionLog()
         run_first_pass(state, log)
-        sched = ResidualScheduler(state.n)
-        assert run_residual_pass(state, sched, log) == 0
+        assert run_residual_pass(state, log) == 0
 
     def test_reduced_form_already_covers_symmetric_pair(self):
         # both strongly-holds conditions of the complement rule hold with the
@@ -174,24 +154,18 @@ class TestResidual:
         log = ReductionLog()
         run_first_pass(state, log)
         assert state.live_count == 0  # the pass resolves the pair entirely
-        assert run_residual_pass(state, ResidualScheduler(state.n), log) == 0
+        assert run_residual_pass(state, log) == 0
 
     def test_residual_finds_mixed_side_complement(self):
         # reduced passes find nothing: one side of the complement rule holds
         # strongly only for variable 1, the other side only for variable 2,
         # and the shared edge is not the most negative one on row 1
-        no_res, log0, smap0 = run_to_fixed_point(
-            RESIDUAL_COMPLEMENT, EngineOptions(enable_residual=False)
-        )
-        assert len(smap0.survivors) == 3
-        assert not verify_fixed_point(init_state(no_res))
-
         state = init_state(RESIDUAL_COMPLEMENT)
         log = ReductionLog()
-        run_first_pass(state, log)
+        assert run_first_pass(state, log).drops == 0
         assert not log.events
-        sched = ResidualScheduler(state.n)
-        assert run_residual_pass(state, sched, log) == 1
+        assert not verify_fixed_point(state)
+        assert run_residual_pass(state, log) == 1
         assert log.events[0].verdict.rule_id == "R2_5"
 
         reduced, log1, smap1 = run_to_fixed_point(RESIDUAL_COMPLEMENT)
@@ -200,10 +174,13 @@ class TestResidual:
         assert verify_fixed_point(init_state(reduced))
 
     def test_residual_finds_mixed_side_equal(self):
-        no_res, _, smap0 = run_to_fixed_point(
-            RESIDUAL_EQUAL, EngineOptions(enable_residual=False)
-        )
-        assert len(smap0.survivors) == 4
+        state = init_state(RESIDUAL_EQUAL)
+        log = ReductionLog()
+        assert run_first_pass(state, log).drops == 0
+        assert not verify_fixed_point(state)
+        assert run_residual_pass(state, log) == 1
+        assert log.events[0].verdict.rule_id == "R2_6"
+
         reduced, log, smap = run_to_fixed_point(RESIDUAL_EQUAL)
         assert any(ev.verdict.rule_id == "R2_6" for ev in log.events)
         assert check_equivalence(RESIDUAL_EQUAL, reduced, smap).ok
@@ -217,7 +194,7 @@ class TestResidual:
         log = ReductionLog()
         run_first_pass(state, log)
         assert not log.events
-        assert run_residual_pass(state, ResidualScheduler(state.n), log) == 2
+        assert run_residual_pass(state, log) == 2
         assert [ev.verdict.rule_id for ev in log.events] == ["R2_5", "R2_6"]
         assert log.pass_drops == [2]
 
@@ -287,9 +264,7 @@ class TestReplay:
         mined = 0
         for _ in range(150):
             inst = random_instance(rng, rng.randint(2, 14))
-            reduced, log, smap = run_to_fixed_point(
-                inst, EngineOptions(emit_inequalities=True)
-            )
+            reduced, log, smap = run_to_fixed_point(inst, emit_inequalities=True)
             seen_events = set()
             for st in replay(inst, log.events):
                 st.check_consistency()
@@ -372,6 +347,28 @@ class TestMultiPass:
         reduced, log, _ = run_to_fixed_point(generate_instance(spec))
         assert log.pass_count <= 25
         assert verify_fixed_point(init_state(reduced))
+
+    def test_early_stopping_pass_drops_nothing(self, monkeypatch):
+        # run_to_fixed_point ends on a pass that dropped nothing and a
+        # residual sweep that found nothing; it need not test early stops
+        # separately because an early stop implies zero drops
+        summaries = []
+        run_pass = _Reducer.run_pass
+
+        def recording(self, pass_no):
+            summaries.append(run_pass(self, pass_no))
+            return summaries[-1]
+
+        monkeypatch.setattr(_Reducer, "run_pass", recording)
+        instances = [sweep_instance(t) for t in range(1000)]
+        for row in (1, 3, 5):
+            spec = GeneratorSpec.from_design(2000, 20000, design_table()[row - 1], seed=42)
+            instances.append(generate_instance(spec))
+        for inst in instances:
+            run_to_fixed_point(inst)
+        early = [sm for sm in summaries if sm.early_stop]
+        assert early, "no pass stopped early"
+        assert all(sm.drops == 0 for sm in early)
 
     def test_pass_drop_counts_are_variables(self):
         _, log, smap = run_to_fixed_point(TRIPLE)

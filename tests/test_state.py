@@ -3,7 +3,6 @@ import random
 import pytest
 
 from conftest import random_instance, restricted_optimum
-from quboreduce import state as state_mod
 from quboreduce.model import build_from_triplets
 from quboreduce.oracle import brute_force_solve
 from quboreduce.state import COMPLEMENT_OF, SAME_AS, init_state
@@ -209,7 +208,7 @@ class TestBookkeepingInvariants:
                 assert st.live_count == live_before
             st.check_consistency()
 
-    def test_complement_compensation_switch_changes_result(self, monkeypatch):
+    def test_complement_compensation_switch_changes_result(self, request):
         # degree-2 eliminated variable: the d_hj compensation term matters
         inst = build_from_triplets(
             3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
@@ -217,7 +216,7 @@ class TestBookkeepingInvariants:
         st = init_state(inst)
         st.apply_substitution_complement(1, 2)
         good = st.c[3]
-        monkeypatch.setattr(state_mod, "COMPLEMENT_LINEAR_COMPENSATION", False)
+        request.getfixturevalue("uncompensated_complement")
         st2 = init_state(inst)
         st2.apply_substitution_complement(1, 2)
         assert st2.c[3] == good - 1  # missing the d_23 = 1 compensation
