@@ -209,14 +209,15 @@ def cmd_generate(args) -> int:
         base = generator.DESK_SIZES if args.suite == "desk" else generator.STANDARD_SIZES
         out_dir = args.output
         try:
-            os.makedirs(out_dir, exist_ok=True)
+            # Generated (and so validated) first: a bad spec leaves no directory.
             suite = generator.generate_benchmark_suite(
                 list(base), rows, seed=args.seed, hub_fraction=args.hub_fraction
             )
+            os.makedirs(out_dir, exist_ok=True)
             for item in suite:
                 path = os.path.join(out_dir, f"{item.label}_row{item.row_id:02d}.qubo")
                 write_instance(item.instance, path, header=_spec_header(item.spec))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {len(suite)} instances to {out_dir}")

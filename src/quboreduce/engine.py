@@ -3,12 +3,12 @@
 Each pass walks the live-node list split into an i-group (not yet examined
 this pass) and an h-group (already examined, eligible as partners).  A node
 is first checked by the single-variable rules, then paired against its
-h-group neighbours for the pair-assignment rules and the strongly-holding
-form of the substitution rules.  Dropping a node records where the next pass
-may stop early; once a pass drops nothing, a residual sweep covers the
-substitution combinations the strongly-holding screen cannot see.  One sweep
-applies every substitution it finds; if it found any, the passes resume, and
-the whole loop repeats until truly nothing fires.
+h-group neighbours for the pair-assignment rules.  Dropping a node records
+where the next pass may stop early.  Once a pass drops nothing, a residual
+sweep applies the substitution rules 2.5 and 2.6: per-variable flags screen
+the edges, and the general predicates of :mod:`rules` decide each one.  One
+sweep applies every substitution it finds; if it found any, the passes
+resume, and the whole loop repeats until truly nothing fires.
 
 Every state change is logged as an event; applying the logged conclusions in
 order with :func:`apply_conclusion` to a fresh state rebuilds each
@@ -99,14 +99,17 @@ def reconstruct_solution(
 
 
 class ResidualScheduler:
-    """Strongly-holds flags feeding the residual substitution sweep.
+    """Screen flags for the residual substitution sweep.
 
-    a/b flags mark variables whose complement-pair conditions hold at their
-    most negative incident edge; c/d flags are the analogues for the
-    equality-pair conditions at the most positive edge.  ab_list and cd_list
-    hold the free variables with at least one flag of their family set; the
-    sweep pairs an a-flagged variable with a b-flagged neighbour, c with c,
-    and d with d.
+    Each flag is one endpoint condition of a substitution rule, evaluated at
+    the variable's extreme edge of the rule's sign, where it is loosest; so a
+    flag is necessary for its condition at any edge of that sign.  a and b
+    are Rule 2.5's c_v - d + D_v^- >= 0 and c_v + d + D_v^+ <= 0 at the most
+    negative edge d; c and d are Rule 2.6's c_v - d + D_v^+ <= 0 and
+    c_v + d + D_v^- >= 0 at the most positive one.  Rule 2.5 can thus fire on
+    (i, h) only if (a_i or a_h) and (b_i or b_h), and Rule 2.6 only if
+    (c_i or d_h) and (d_i or c_h).  ab_list and cd_list hold the free
+    variables with a flag of the family set.
     """
 
     def __init__(self, n: int):
@@ -118,19 +121,14 @@ class ResidualScheduler:
         self.cd_list: list[int] = []
 
     def record(self, state: ReductionState, v: int) -> None:
+        # A row without edges of one sign has extreme 0 there, so its flags
+        # of that family read as fix conditions; no edge ever consults them.
         c, dm, dp = state.c, state.d_minus, state.d_plus
-        if state.min_arg[v]:
-            mn = state.min_val[v]
-            self.a_flag[v] = c[v] - mn + dm[v] >= 0
-            self.b_flag[v] = c[v] + mn + dp[v] <= 0
-        else:
-            self.a_flag[v] = self.b_flag[v] = False
-        if state.max_arg[v]:
-            mx = state.max_val[v]
-            self.c_flag[v] = c[v] - mx + dp[v] <= 0
-            self.d_flag[v] = c[v] + mx + dm[v] >= 0
-        else:
-            self.c_flag[v] = self.d_flag[v] = False
+        mn, mx = state.min_val[v], state.max_val[v]
+        self.a_flag[v] = c[v] - mn + dm[v] >= 0
+        self.b_flag[v] = c[v] + mn + dp[v] <= 0
+        self.c_flag[v] = c[v] - mx + dp[v] <= 0
+        self.d_flag[v] = c[v] + mx + dm[v] >= 0
 
     def refresh(self, state: ReductionState) -> None:
         """Recompute every flag from the current state and rebuild the lists."""
@@ -222,40 +220,6 @@ class _Reducer:
 
     # -- pair handling -------------------------------------------------------
 
-    def _reduced_complement(self, i: int, h: int) -> rules.RuleVerdict | None:
-        s = self.s
-        d = s.adj[i].get(h, 0)
-        if d >= 0:
-            return None
-        c, dm, dp = s.c, s.d_minus, s.d_plus
-        for v in (i, h):
-            if (v == i and s.min_arg[i] != h) or (v == h and s.min_arg[h] != i):
-                continue
-            a = c[v] - d + dm[v]
-            b = c[v] + d + dp[v]
-            if a >= 0 and b <= 0:
-                return rules.RuleVerdict(
-                    rules.R2_5, rules.SubstituteComplement(i, h), a > 0 and b < 0
-                )
-        return None
-
-    def _reduced_equal(self, i: int, h: int) -> rules.RuleVerdict | None:
-        s = self.s
-        d = s.adj[i].get(h, 0)
-        if d <= 0:
-            return None
-        c, dm, dp = s.c, s.d_minus, s.d_plus
-        for v in (i, h):
-            if (v == i and s.max_arg[i] != h) or (v == h and s.max_arg[h] != i):
-                continue
-            fwd = c[v] - d + dp[v]
-            back = c[v] + d + dm[v]
-            if fwd <= 0 and back >= 0:
-                return rules.RuleVerdict(
-                    rules.R2_6, rules.SubstituteEqual(i, h), fwd < 0 and back > 0
-                )
-        return None
-
     def _mine(self, pass_no: int, i: int, h: int) -> None:
         s = self.s
         a, b = (i, h) if i < h else (h, i)
@@ -269,26 +233,24 @@ class _Reducer:
                 pass_no, verdict, rules.m_lower_bound(s, verdict), s.events
             ))
 
-    def _try_pair(self, pass_no: int, i: int, h: int) -> str | None:
-        """Probe (i, h); returns "pair" (both dropped), "subst" (h dropped), or None."""
+    def _try_pair(self, pass_no: int, i: int, h: int) -> rules.RuleVerdict | None:
+        """Probe (i, h) with the pair-assignment rules of the edge's sign.
+
+        Returns the applied verdict, which fixes both variables, or None.
+        """
         s = self.s
         if s.adj[i][h] > 0:
-            v = (rules.rule_pair_zero(s, i, h) or rules.rule_pair_one(s, i, h)
-                 or self._reduced_equal(i, h))
+            v = rules.rule_pair_zero(s, i, h) or rules.rule_pair_one(s, i, h)
         else:
-            v = (rules.rule_pair_one_zero(s, i, h) or rules.rule_pair_zero_one(s, i, h)
-                 or self._reduced_complement(i, h))
+            v = rules.rule_pair_one_zero(s, i, h) or rules.rule_pair_zero_one(s, i, h)
         if v is None:
             if self.emit_inequalities:
                 self._mine(pass_no, i, h)
             return None
         self._apply(pass_no, v)
         self._drop_h(h)
-        if isinstance(v.conclusion, rules.PairFix):
-            self._note_drop(2)
-            return "pair"
-        self._note_drop()
-        return "subst"
+        self._note_drop(2)
+        return v
 
     # -- passes -------------------------------------------------------------
 
@@ -356,13 +318,8 @@ class _Reducer:
                         stamps[h] = touched[h]
                     if touched[i] <= barrier and touched[h] <= barrier:
                         continue
-                    outcome = self._try_pair(pass_no, i, h)
-                    if outcome == "pair":
+                    if self._try_pair(pass_no, i, h) is not None:
                         alive = False
-                        break
-                    if outcome == "subst":
-                        # i survives with a rebuilt row; its remaining pairs
-                        # wait for the next pass.
                         break
             if not alive:
                 cur.i_loc += 1
@@ -371,9 +328,9 @@ class _Reducer:
             nlist[cur.h_loc_end] = i
             pos[i] = cur.h_loc_end
             if touched[i] != turn_touched:
-                # i's own turn changed its row after its examination (a
-                # substitution it kept, or a partner fix); the stop marker
-                # must cover its new slot so the next pass re-examines it.
+                # A partner's fix changed i's row during its own turn; the
+                # stop marker must cover its new slot so the next pass
+                # re-examines it.
                 cur.next_end_loc = cur.h_loc_end
             cur.i_loc += 1
             if cur.i_loc > cur.end_loc:
@@ -410,94 +367,46 @@ class _Reducer:
             self.log.pass_drops[-1] += 1
 
     def run_residual(self, pass_no: int) -> int:
-        """Probe the substitution combinations the strongly-holds screen skipped.
+        """Apply every substitution the flag screen lets through; returns the count.
 
-        Only adjacent pairs with the right edge sign can qualify, so each
-        listed variable scans its neighbours against the partner flags.  A hit
-        ends its variable's turn (its row was just rebuilt) and the sweep goes
-        on with the next listed variable; returns the number of substitutions.
-        Every hit re-tests its condition on the live sums and edge, so flags
-        gone stale through earlier hits can only hide a candidate, which the
-        next sweep then finds.
+        Each listed variable i scans its neighbours h over edges of the
+        rule's sign.  Every edge that passes the screen (see
+        :class:`ResidualScheduler`) is tested with
+        :func:`rules.rule_complement_pair` or :func:`rules.rule_equal_pair`
+        on the live state.  A hit eliminates h and ends i's turn, because
+        i's row was just rebuilt.  The flags are computed once per sweep, so
+        a hit can leave them stale.  A stale flag either lets through an
+        edge that the rule then rejects, or hides one, which the next sweep
+        finds.  A sweep that finds nothing ran on fresh flags throughout, so
+        after it no substitution fires anywhere.
         """
         s = self.s
         sched = self.sched
         sched.refresh(s)
-        c, dm, dp = s.c, s.d_minus, s.d_plus
-        status = s.status
-        a_flag, b_flag = sched.a_flag, sched.b_flag
-        c_flag, d_flag = sched.c_flag, sched.d_flag
-        # Deactivate each variable after its turn so every candidate pair is
-        # tested once per sweep.
-        active = bytearray(s.n + 1)
+        status, adj = s.status, s.adj
+        a, b = sched.a_flag, sched.b_flag
+        c, d = sched.c_flag, sched.d_flag
         hits = 0
-
-        for i in sched.ab_list:
-            active[i] = 1
         for i in sched.ab_list:
             if status[i] != FREE:
                 continue
-            if a_flag[i]:
-                # (A1) strongly holds for i; seek a partner whose (B2) holds.
-                for h, d in s.adj[i].items():
-                    if d >= 0 or not active[h] or not b_flag[h]:
-                        continue
-                    a1 = c[i] - d + dm[i]
-                    b2 = c[h] + d + dp[h]
-                    if a1 >= 0 and b2 <= 0:
-                        self._residual_hit(pass_no, rules.RuleVerdict(
-                            rules.R2_5,
-                            rules.SubstituteComplement(i, h),
-                            a1 > 0 and b2 < 0,
-                        ))
+            for h, w in adj[i].items():
+                if w < 0 and (a[i] or a[h]) and (b[i] or b[h]):
+                    verdict = rules.rule_complement_pair(s, i, h)
+                    if verdict is not None:
+                        self._residual_hit(pass_no, verdict)
                         hits += 1
                         break
-            else:
-                for h, d in s.adj[i].items():
-                    if d >= 0 or not active[h] or not a_flag[h]:
-                        continue
-                    b1 = c[i] + d + dp[i]
-                    a2 = c[h] - d + dm[h]
-                    if b1 <= 0 and a2 >= 0:
-                        self._residual_hit(pass_no, rules.RuleVerdict(
-                            rules.R2_5,
-                            rules.SubstituteComplement(i, h),
-                            b1 < 0 and a2 > 0,
-                        ))
-                        hits += 1
-                        break
-            active[i] = 0
-
-        # Equality version.  The cross conditions pair C-flagged variables
-        # with each other (and D with D); each condition has the same
-        # functional form at both endpoints, so one symmetric test covers
-        # both orientations of a pair.
-        for i in sched.cd_list:
-            active[i] = 1
         for i in sched.cd_list:
             if status[i] != FREE:
                 continue
-            want_c = c_flag[i]
-            for h, d in s.adj[i].items():
-                if d <= 0 or not active[h]:
-                    continue
-                if want_c:
-                    if not c_flag[h]:
-                        continue
-                    hit = c[i] - d + dp[i] <= 0 and c[h] - d + dp[h] <= 0
-                    strict = c[i] - d + dp[i] < 0 and c[h] - d + dp[h] < 0
-                else:
-                    if not d_flag[h]:
-                        continue
-                    hit = c[i] + d + dm[i] >= 0 and c[h] + d + dm[h] >= 0
-                    strict = c[i] + d + dm[i] > 0 and c[h] + d + dm[h] > 0
-                if hit:
-                    self._residual_hit(pass_no, rules.RuleVerdict(
-                        rules.R2_6, rules.SubstituteEqual(i, h), strict
-                    ))
-                    hits += 1
-                    break
-            active[i] = 0
+            for h, w in adj[i].items():
+                if w > 0 and (c[i] or d[h]) and (d[i] or c[h]):
+                    verdict = rules.rule_equal_pair(s, i, h)
+                    if verdict is not None:
+                        self._residual_hit(pass_no, verdict)
+                        hits += 1
+                        break
         return hits
 
 
@@ -534,8 +443,9 @@ def run_to_fixed_point(
     Returns the reduced problem indexed densely over the survivors (position
     k corresponds to original variable ``solution_map.survivors[k-1]``), the
     event log, and the solution map for reconstruction.  With
-    emit_inequalities, pairwise inequalities that do not complete a
-    substitution are mined into ``log.inequality_records``.
+    emit_inequalities, the pairwise inequalities of every pair the scan
+    passes probe without a pair assignment are mined into
+    ``log.inequality_records``.
     """
     state = init_state(instance)
     log = ReductionLog()

@@ -151,9 +151,9 @@ RULE_SILENT = build_from_triplets(3, [
     (1, 2, 5), (1, 3, 4), (2, 3, -4),
 ])
 
-# Reduced-form passes find nothing; the residual sweep substitutes via the
-# complement rule on (1, 2) where d12 = -4 differs from row 1's most negative
-# edge d13 = -5 (mixed-side condition combination).
+# Scan passes fix nothing; the residual sweep substitutes via the complement
+# rule on (1, 2), whose two sides hold at different endpoints (mixed-side
+# condition combination).
 RESIDUAL_COMPLEMENT = build_from_triplets(3, [
     (1, 1, 3), (2, 2, 1), (3, 3, -1),
     (1, 2, -4), (1, 3, -5), (2, 3, 4),

@@ -44,6 +44,12 @@ class TestGenerate:
         assert run(["generate", "--suite", "desk", "-o", out]) == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_suite_with_bad_hub_fraction_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert run(["generate", "--suite", "desk", "--hub-fraction", 2, "-o", out]) == 2
+        assert "error: hub_fraction=2.0 outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReduceVerify:
     def test_round_trip(self, tmp_path, capsys):

@@ -143,9 +143,11 @@ class TestResidual:
         assert run_residual_pass(state, log) == 0
 
     def test_reduced_form_already_covers_symmetric_pair(self):
-        # both strongly-holds conditions of the complement rule hold with the
-        # pair edge as the most negative one (1 + 2 - 2 >= 0, 1 - 2 + 0 <= 0),
-        # so the pair never survives to the residual, which finds nothing
+        # both complement-rule conditions hold for variable 1 at its most
+        # negative edge (1 + 2 - 2 >= 0, 1 - 2 + 0 <= 0), so the pair is
+        # flagged for the residual; but the scan pass's pair-assignment rule
+        # R3_2 resolves it first (-1 + 1 - 2 + 0 + 0 <= 0, at its boundary),
+        # and the residual finds nothing left
         inst = build_from_triplets(2, [(1, 1, 1), (2, 2, 1), (1, 2, -2)])
         state = init_state(inst)
         sched = ResidualScheduler(state.n)
@@ -153,13 +155,16 @@ class TestResidual:
         assert sched.a_flag[1] and sched.b_flag[1]
         log = ReductionLog()
         run_first_pass(state, log)
-        assert state.live_count == 0  # the pass resolves the pair entirely
+        assert [(ev.verdict.rule_id, ev.verdict.conclusion) for ev in log.events] == [
+            ("R3_2", rules.PairFix(2, 1, 1, 0)),
+        ]
+        assert state.live_count == 0
         assert run_residual_pass(state, log) == 0
 
     def test_residual_finds_mixed_side_complement(self):
-        # reduced passes find nothing: one side of the complement rule holds
-        # strongly only for variable 1, the other side only for variable 2,
-        # and the shared edge is not the most negative one on row 1
+        # the scan pass fixes nothing, and the complement rule fires on (1, 2)
+        # with its upper side from variable 1 (3 - 4 + 0 <= 0) and its lower
+        # side from variable 2 (1 + 4 - 4 >= 0): only the residual substitutes
         state = init_state(RESIDUAL_COMPLEMENT)
         log = ReductionLog()
         assert run_first_pass(state, log).drops == 0
@@ -178,8 +183,14 @@ class TestResidual:
         log = ReductionLog()
         assert run_first_pass(state, log).drops == 0
         assert not verify_fixed_point(state)
-        assert run_residual_pass(state, log) == 1
-        assert log.events[0].verdict.rule_id == "R2_6"
+        # x3 := x2 first; later in the same sweep x1 := x4 also passes the
+        # screen (c-flags on both ends) and the rule holds on the live state
+        # (-1 - 3 + 3 <= 0 for 4, -3 - 3 + 3 <= 0 for 1), so one sweep
+        # applies both
+        assert run_residual_pass(state, log) == 2
+        assert [ev.verdict.conclusion for ev in log.events] == [
+            rules.SubstituteEqual(2, 3), rules.SubstituteEqual(4, 1),
+        ]
 
         reduced, log, smap = run_to_fixed_point(RESIDUAL_EQUAL)
         assert any(ev.verdict.rule_id == "R2_6" for ev in log.events)
@@ -187,35 +198,51 @@ class TestResidual:
         assert verify_fixed_point(init_state(reduced))
 
     def test_one_sweep_applies_every_hit(self):
-        # two independent blocks, each needing one residual substitution:
-        # a single sweep performs both instead of returning after the first
+        # two independent blocks, needing one and two residual substitutions
+        # (see test_residual_finds_mixed_side_equal): a single sweep performs
+        # all three instead of returning after the first
         inst = disjoint_union(RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL)
         state = init_state(inst)
         log = ReductionLog()
         run_first_pass(state, log)
         assert not log.events
-        assert run_residual_pass(state, log) == 2
-        assert [ev.verdict.rule_id for ev in log.events] == ["R2_5", "R2_6"]
-        assert log.pass_drops == [2]
+        assert run_residual_pass(state, log) == 3
+        assert [ev.verdict.rule_id for ev in log.events] == ["R2_5", "R2_6", "R2_6"]
+        assert log.pass_drops == [3]
 
         reduced, _, smap = run_to_fixed_point(inst)
         assert check_equivalence(inst, reduced, smap).ok
         assert verify_fixed_point(init_state(reduced))
 
-    def test_disabling_residual_can_leave_firing_rules(self):
-        state = init_state(RESIDUAL_COMPLEMENT)
-        assert not verify_fixed_point(state)  # full rule 2.5 fires up front
+    def test_sweeps_leave_no_substitution(self):
+        # after one pass, residual sweeps repeated until one finds nothing
+        # leave no edge where the general rule 2.5 or 2.6 fires, including the
+        # tie-heavy boundary cases of coefficients in [-2, 2]
+        rng = random.Random(74)
+        instances = [sweep_instance(t) for t in range(300)]
+        instances += [random_instance(rng, rng.randint(2, 14), coef=2) for _ in range(300)]
+        for inst in instances:
+            state = init_state(inst)
+            log = ReductionLog()
+            run_first_pass(state, log)
+            while run_residual_pass(state, log):
+                pass
+            for i in state.free_variables():
+                for h in state.adj[i]:
+                    assert rules.rule_complement_pair(state, i, h) is None
+                    assert rules.rule_equal_pair(state, i, h) is None
 
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Every (pass, i, h) pair probe of the runs in a test, in order."""
+    """Every (pass, i, h, returned verdict) pair probe of a test's runs, in order."""
     seen = []
     probe = _Reducer._try_pair
 
     def recording(self, pass_no, i, h):
-        seen.append((pass_no, i, h))
-        return probe(self, pass_no, i, h)
+        result = probe(self, pass_no, i, h)
+        seen.append((pass_no, i, h, result))
+        return result
 
     monkeypatch.setattr(_Reducer, "_try_pair", recording)
     return seen
@@ -229,7 +256,7 @@ class TestInstrumentation:
             probes.clear()
             run_to_fixed_point(inst)
             seen = set()
-            for pass_no, i, h in probes:
+            for pass_no, i, h, _ in probes:
                 key = (pass_no, min(i, h), max(i, h))
                 assert key not in seen, f"pair {key} probed twice"
                 seen.add(key)
@@ -250,12 +277,29 @@ class TestInstrumentation:
             for pass_no, concl in pair_events:
                 in_pass = [p for p in probes if p[0] == pass_no]
                 fired_idx = next(
-                    k for k, (_, i, h) in enumerate(in_pass)
+                    k for k, (_, i, h, _) in enumerate(in_pass)
                     if {i, h} == {concl.i, concl.h}
                 )
                 later = in_pass[fired_idx + 1:]
                 assert all(concl.i not in (i, h) and concl.h not in (i, h)
-                           for _, i, h in later)
+                           for _, i, h, _ in later)
+
+    def test_try_pair_returns_only_applied_pair_fixes(self, probes):
+        # perfbench's tracer counts every non-None return of _try_pair as a
+        # firing, so a probe that applies nothing must return None
+        rng = random.Random(73)
+        fired_total = 0
+        for _ in range(150):
+            inst = random_instance(rng, rng.randint(2, 12), coef=rng.choice((2, 10)))
+            probes.clear()
+            _, log, _ = run_to_fixed_point(inst)
+            fired = [result for *_, result in probes if result is not None]
+            assert all(isinstance(v, rules.RuleVerdict)
+                       and isinstance(v.conclusion, rules.PairFix) for v in fired)
+            assert fired == [ev.verdict for ev in log.events
+                             if isinstance(ev.verdict.conclusion, rules.PairFix)]
+            fired_total += len(fired)
+        assert fired_total > 0
 
 
 class TestReplay:
