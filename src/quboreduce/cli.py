@@ -168,16 +168,6 @@ def report_from_document(doc: dict) -> RunReport:
     )
 
 
-def to_original_ids(reduced: QuboInstance, survivors: list[int], n: int) -> QuboInstance:
-    """Rewrite a densely indexed reduced instance over the original index set."""
-    linear = {survivors[i - 1]: v for i, v in reduced.linear.items()}
-    quadratic = {
-        (survivors[i - 1], survivors[j - 1]): v
-        for (i, j), v in reduced.quadratic.items()
-    }
-    return QuboInstance(n, linear, quadratic, reduced.offset)
-
-
 def to_dense_ids(reduced: QuboInstance, survivors: list[int]) -> QuboInstance:
     """Renumber an original-indexed reduced instance densely over the survivors.
 
@@ -259,11 +249,10 @@ def cmd_reduce(args) -> int:
             elapsed = time.perf_counter() - start
             doc = log_document(original, reduced, log, solution_map, elapsed,
                                renumber=args.renumber)
-            if out_fh:
-                emitted = reduced if args.renumber else to_original_ids(
-                    reduced, solution_map.survivors, original.n
-                )
-                write_instance(emitted, out_fh)
+            if out_fh and args.renumber:
+                write_instance(reduced, out_fh)
+            elif out_fh:
+                write_instance(reduced, out_fh, ids=solution_map.survivors, n=original.n)
             if log_fh:
                 json.dump(doc, log_fh, indent=1)
     except OSError as exc:
@@ -279,7 +268,7 @@ def cmd_verify(args) -> int:
         reduced = read_instance(args.reduced)
         with open(args.log, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, QuboFormatError, json.JSONDecodeError) as exc:
+    except (OSError, QuboFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -349,7 +338,7 @@ def cmd_report(args) -> int:
     try:
         with open(args.log, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

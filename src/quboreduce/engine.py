@@ -3,7 +3,8 @@
 Each pass walks the live-node list split into an i-group (not yet examined
 this pass) and an h-group (already examined, eligible as partners).  A node
 is first checked by the single-variable rules, then paired against its
-h-group neighbours for the pair-assignment rules.  Dropping a node records
+h-group neighbours for the pair-assignment rules, on the edges that pass the
+slack screen :func:`rules.pair_may_fire`.  Dropping a node records
 where the next pass may stop early.  Once a pass drops nothing, a residual
 sweep applies the substitution rules 2.5 and 2.6: per-variable flags screen
 the edges, and the general predicates of :mod:`rules` decide each one.  One
@@ -187,6 +188,10 @@ class _Reducer:
         # start of the previous pass: the pair was probed (or validly
         # skipped) there with identical data.
         self._barrier = -1
+        # Both orientations of the edges the residual sweep's rules rejected
+        # on the state as it was at event count _rejected_at.
+        self._rejected: set[tuple[int, int]] = set()
+        self._rejected_at = -1
         self.large = state.n + 1
         self._drops = 0
 
@@ -318,6 +323,8 @@ class _Reducer:
                         stamps[h] = touched[h]
                     if touched[i] <= barrier and touched[h] <= barrier:
                         continue
+                    if not rules.pair_may_fire(s, i, h):
+                        continue
                     if self._try_pair(pass_no, i, h) is not None:
                         alive = False
                         break
@@ -379,6 +386,11 @@ class _Reducer:
         edge that the rule then rejects, or hides one, which the next sweep
         finds.  A sweep that finds nothing ran on fresh flags throughout, so
         after it no substitution fires anywhere.
+
+        Edges that fail :func:`rules.pair_may_fire` are not tested.  Nor is
+        an edge the rules rejected while the event count was what it is
+        now: the state is then the same, and both rules are symmetric in
+        (i, h).
         """
         s = self.s
         sched = self.sched
@@ -386,27 +398,37 @@ class _Reducer:
         status, adj = s.status, s.adj
         a, b = sched.a_flag, sched.b_flag
         c, d = sched.c_flag, sched.d_flag
+        rejected = self._rejected
+        if self._rejected_at != s.events:
+            rejected.clear()
         hits = 0
         for i in sched.ab_list:
             if status[i] != FREE:
                 continue
             for h, w in adj[i].items():
-                if w < 0 and (a[i] or a[h]) and (b[i] or b[h]):
+                if (w < 0 and (a[i] or a[h]) and (b[i] or b[h])
+                        and (i, h) not in rejected and rules.pair_may_fire(s, i, h)):
                     verdict = rules.rule_complement_pair(s, i, h)
                     if verdict is not None:
                         self._residual_hit(pass_no, verdict)
+                        rejected.clear()
                         hits += 1
                         break
+                    rejected.update(((i, h), (h, i)))
         for i in sched.cd_list:
             if status[i] != FREE:
                 continue
             for h, w in adj[i].items():
-                if w > 0 and (c[i] or d[h]) and (d[i] or c[h]):
+                if (w > 0 and (c[i] or d[h]) and (d[i] or c[h])
+                        and (i, h) not in rejected and rules.pair_may_fire(s, i, h)):
                     verdict = rules.rule_equal_pair(s, i, h)
                     if verdict is not None:
                         self._residual_hit(pass_no, verdict)
+                        rejected.clear()
                         hits += 1
                         break
+                    rejected.update(((i, h), (h, i)))
+        self._rejected_at = s.events
         return hits
 
 

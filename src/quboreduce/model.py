@@ -13,9 +13,13 @@ sums quantify only over real edges.
 
 from __future__ import annotations
 
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class QuboFormatError(ValueError):
@@ -191,64 +195,76 @@ def ising_to_qubo(
 #   q <i> <j> <value>     (any index order; repeated pairs accumulate)
 
 
+# One q line whose three numbers int64 holds exactly: at most 18 digits each.
+_Q_LINES = re.compile(rb"(?:q [0-9]{1,18} [0-9]{1,18} -?[0-9]{1,18}\n)*")
+# The q block is checked and parsed in pieces of at most this many bytes: a
+# repeated-group match costs memory in proportion to the span it covers.
+_PIECE_BYTES = 1 << 16
+# Lines joined per write call: one join of a 500,000-line block costs ~30 MB.
+_WRITE_LINES = 1 << 13
+
+
 def read_instance(path) -> QuboInstance:
-    """Parse the line-oriented text format; errors carry the offending line number."""
-    n = None
-    offset = 0
-    linear: dict[int, int] = {}
-    quadratic: dict[tuple[int, int], int] = {}
+    """Parse the line-oriented text format; errors carry the offending line number.
+
+    A file whose q lines all come last in the writer's plain form has its q
+    block parsed in bulk (see :func:`_read_bulk`).  Every other file, and
+    every malformed one, goes through the line parser, the only one that
+    reports errors.
+    """
+    with open(path, "rb") as fh:
+        instance = _read_bulk(fh.read())
+    return _read_lines(path) if instance is None else instance
+
+
+def _read_bulk(data: bytes) -> QuboInstance | None:
+    """The instance the line parser builds from ``data``, or None to defer to it.
+
+    The lines before the first ``q `` line go through the line parser.  The
+    rest must be ``q <i> <j> <value>\\n`` lines, single-spaced, with at most
+    18 digits per number, so that int64 parses them exactly; their indices
+    must lie in 1..n and off the diagonal, no pair may repeat and no value
+    may be zero.  Anything else returns None: comments, CR line ends, a
+    missing final newline, more digits, or data the line parser rejects.
+    """
+    start = data.find(b"\nq ") + 1 or len(data)
+    try:
+        head = data[:start].decode("utf-8")
+        n, offset, linear, quadratic = _parse_lines(head.split("\n"))
+    except (UnicodeDecodeError, QuboFormatError):
+        return None
+    # A CR ends a line for the line parser, which reads in universal
+    # newline mode; q lines before the block would need merging.
+    if "\r" in head or quadratic:
+        return None
+    pos = start
+    lines = 0
+    while pos < len(data):
+        cut = data.rfind(b"\n", pos, pos + _PIECE_BYTES) + 1
+        if cut <= pos or not _Q_LINES.fullmatch(data, pos, cut):
+            return None
+        numbers = np.fromstring(data[pos:cut].replace(b"q", b""), dtype=np.int64, sep=" ")
+        i, j, v = numbers.reshape(-1, 3).T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        if int(lo.min()) < 1 or int(hi.max()) > n or (lo == hi).any() or not v.all():
+            return None
+        quadratic.update(zip(zip(lo.tolist(), hi.tolist()), v.tolist()))
+        lines += len(v)
+        pos = cut
+    if len(quadratic) != lines:
+        return None
+    return QuboInstance(n, {k: c for k, c in linear.items() if c != 0}, quadratic, offset)
+
+
+def _read_lines(path) -> QuboInstance:
+    """The line parser: any file the format allows, with exact integers."""
     # The file decodes chunk by chunk as it is iterated, so a bad byte
     # surfaces at the loop, not inside the per-line error mapping.
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                tok = line.split()
-                try:
-                    if tok[0] == "p":
-                        if n is not None:
-                            raise QuboFormatError(f"line {lineno}: duplicate problem line")
-                        if len(tok) != 3 or tok[1] != "qubo":
-                            raise QuboFormatError(f"line {lineno}: expected 'p qubo <n>'")
-                        n = int(tok[2])
-                        if n < 0:
-                            raise QuboFormatError(f"line {lineno}: negative variable count")
-                        continue
-                    if n is None:
-                        raise QuboFormatError(f"line {lineno}: data before 'p qubo <n>' line")
-                    if tok[0] == "o":
-                        if len(tok) != 2:
-                            raise QuboFormatError(f"line {lineno}: expected 'o <offset>'")
-                        offset += int(tok[1])
-                    elif tok[0] == "l":
-                        if len(tok) != 3:
-                            raise QuboFormatError(f"line {lineno}: expected 'l <i> <value>'")
-                        i, v = int(tok[1]), int(tok[2])
-                        if not 1 <= i <= n:
-                            raise QuboFormatError(f"line {lineno}: index {i} outside 1..{n}")
-                        linear[i] = linear.get(i, 0) + v
-                    elif tok[0] == "q":
-                        if len(tok) != 4:
-                            raise QuboFormatError(f"line {lineno}: expected 'q <i> <j> <value>'")
-                        i, j, v = int(tok[1]), int(tok[2]), int(tok[3])
-                        if not (1 <= i <= n and 1 <= j <= n):
-                            raise QuboFormatError(f"line {lineno}: pair ({i}, {j}) outside 1..{n}")
-                        if i == j:
-                            raise QuboFormatError(f"line {lineno}: quadratic entry on diagonal")
-                        key = canonical_pair(i, j)
-                        quadratic[key] = quadratic.get(key, 0) + v
-                    else:
-                        raise QuboFormatError(f"line {lineno}: unknown directive {tok[0]!r}")
-                except ValueError as exc:
-                    if isinstance(exc, QuboFormatError):
-                        raise
-                    raise QuboFormatError(f"line {lineno}: {exc}") from exc
+            n, offset, linear, quadratic = _parse_lines(fh)
     except UnicodeDecodeError as exc:
         raise QuboFormatError(f"file is not UTF-8 text: {exc}") from exc
-    if n is None:
-        raise QuboFormatError("missing 'p qubo <n>' line")
     return QuboInstance(
         n,
         {i: v for i, v in linear.items() if v != 0},
@@ -257,18 +273,87 @@ def read_instance(path) -> QuboInstance:
     )
 
 
-def write_instance(instance: QuboInstance, path, header: Sequence[str] = ()) -> None:
+def _parse_lines(lines: Iterable[str]):
+    """Accumulate (n, offset, linear, quadratic) from text lines, zeros kept."""
+    n = None
+    offset = 0
+    linear: dict[int, int] = {}
+    quadratic: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tok = line.split()
+        try:
+            if tok[0] == "p":
+                if n is not None:
+                    raise QuboFormatError(f"line {lineno}: duplicate problem line")
+                if len(tok) != 3 or tok[1] != "qubo":
+                    raise QuboFormatError(f"line {lineno}: expected 'p qubo <n>'")
+                n = int(tok[2])
+                if n < 0:
+                    raise QuboFormatError(f"line {lineno}: negative variable count")
+                continue
+            if n is None:
+                raise QuboFormatError(f"line {lineno}: data before 'p qubo <n>' line")
+            if tok[0] == "o":
+                if len(tok) != 2:
+                    raise QuboFormatError(f"line {lineno}: expected 'o <offset>'")
+                offset += int(tok[1])
+            elif tok[0] == "l":
+                if len(tok) != 3:
+                    raise QuboFormatError(f"line {lineno}: expected 'l <i> <value>'")
+                i, v = int(tok[1]), int(tok[2])
+                if not 1 <= i <= n:
+                    raise QuboFormatError(f"line {lineno}: index {i} outside 1..{n}")
+                linear[i] = linear.get(i, 0) + v
+            elif tok[0] == "q":
+                if len(tok) != 4:
+                    raise QuboFormatError(f"line {lineno}: expected 'q <i> <j> <value>'")
+                i, j, v = int(tok[1]), int(tok[2]), int(tok[3])
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise QuboFormatError(f"line {lineno}: pair ({i}, {j}) outside 1..{n}")
+                if i == j:
+                    raise QuboFormatError(f"line {lineno}: quadratic entry on diagonal")
+                key = canonical_pair(i, j)
+                quadratic[key] = quadratic.get(key, 0) + v
+            else:
+                raise QuboFormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+        except ValueError as exc:
+            if isinstance(exc, QuboFormatError):
+                raise
+            raise QuboFormatError(f"line {lineno}: {exc}") from exc
+    if n is None:
+        raise QuboFormatError("missing 'p qubo <n>' line")
+    return n, offset, linear, quadratic
+
+
+def write_instance(
+    instance: QuboInstance,
+    path,
+    header: Sequence[str] = (),
+    *,
+    ids: Sequence[int] | None = None,
+    n: int | None = None,
+) -> None:
     """Write the canonical text form: offset first, then l lines, then q lines.
 
-    ``path`` is a file name or an open text file, which is left open.
+    ``path`` is a file name or an open text file, which is left open.  With
+    ``ids``, variable k is written as ``ids[k - 1]`` and the problem line
+    declares ``n`` variables; ``ids`` must ascend, so that the sorted order
+    of the instance's indices is the sorted order of the written ones.
     """
+    label = [str(k) for k in (range(instance.n + 1) if ids is None else [0, *ids])]
     opened = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8")
     with opened as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        fh.write(f"p qubo {instance.n}\n")
+        fh.write(f"p qubo {instance.n if ids is None else n}\n")
         fh.write(f"o {instance.offset}\n")
-        for i in sorted(instance.linear):
-            fh.write(f"l {i} {instance.linear[i]}\n")
-        for i, j in sorted(instance.quadratic):
-            fh.write(f"q {i} {j} {instance.quadratic[(i, j)]}\n")
+        quadratic = instance.quadratic
+        lines = chain(
+            (f"l {label[i]} {v}\n" for i, v in sorted(instance.linear.items())),
+            (f"q {label[i]} {label[j]} {quadratic[i, j]}\n" for i, j in sorted(quadratic)),
+        )
+        while chunk := "".join(islice(lines, _WRITE_LINES)):
+            fh.write(chunk)

@@ -130,6 +130,38 @@ def rule_fix_zero(state: ReductionState, i: int) -> RuleVerdict | None:
     return None
 
 
+# --- the slack screen ------------------------------------------------------
+
+
+def pair_may_fire(state: ReductionState, i: int, h: int) -> bool:
+    """Necessary condition for any pair rule to fire on the edge (i, h).
+
+    Write s0_v = c_v + D_v^+ and s1_v = c_v + D_v^-, and let
+    t_v = min(s0_v, -s1_v).  The screen passes when |d| >= min(t_i, t_h),
+    d being the edge's weight.  If t_i <= 0 or t_h <= 0 it passes
+    trivially; this is the case when an endpoint fixes (R2_0 fires when
+    s0_v <= 0, R1_0 when -s1_v <= 0).  Otherwise all four slacks are
+    positive, and every pair condition bounds |d| below by s0 or -s1 of one
+    endpoint, plus slacks:
+
+    - R3_1 needs d >= s0_i + s0_h, and R3_4 needs d >= -s1_i - s1_h;
+    - R3_2 needs |d| >= -s1_i + s0_h, and R3_3 the same with i, h swapped;
+    - R2_5 and R2_6 each need a condition from each of two sides, and each
+      condition reads |d| >= s0_v or |d| >= -s1_v for one endpoint v;
+    - each verdict of :func:`derive_pair_inequalities` is one such
+      condition.
+
+    Since t_v <= s0_v and t_v <= -s1_v, each of these implies
+    |d| >= t_v >= min(t_i, t_h).  So an edge the screen rejects fires no
+    pair rule and yields no inequality.
+    """
+    d = abs(state.adj[i][h])
+    c, dm, dp = state.c, state.d_minus, state.d_plus
+    # |d| >= min(t_i, t_h) holds when |d| reaches any of the four slacks.
+    return (d >= c[i] + dp[i] or d >= -(c[i] + dm[i])
+            or d >= c[h] + dp[h] or d >= -(c[h] + dm[h]))
+
+
 # --- pairwise inequality rules -------------------------------------------
 
 

@@ -185,6 +185,17 @@ class TestReduceVerify:
         assert run(["verify", good, bad, log]) == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_non_utf8_log_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        src.write_text("p qubo 2\nl 1 1\n")
+        assert run(["reduce", src, "-o", red]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        assert run(["verify", src, red, bad]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_log_without_assignments_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "in.qubo"
         red = tmp_path / "out.qubo"
@@ -314,5 +325,11 @@ class TestReport:
     def test_report_malformed_document(self, tmp_path, capsys, text):
         log = tmp_path / "bad.json"
         log.write_text(text)
+        assert run(["report", log]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_report_non_utf8_log(self, tmp_path, capsys):
+        log = tmp_path / "bad.json"
+        log.write_bytes(b"\xff\xfe{}")
         assert run(["report", log]) == 2
         assert "error: " in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -231,6 +232,23 @@ class TestResidual:
                 for h in state.adj[i]:
                     assert rules.rule_complement_pair(state, i, h) is None
                     assert rules.rule_equal_pair(state, i, h) is None
+
+    def test_sweeps_test_each_edge_once_per_state(self, monkeypatch):
+        # generate --size 2000 --edges 20000 --seed 42 --design-row 3
+        spec = GeneratorSpec.from_design(2000, 20000, design_table()[2], seed=42)
+        inst = generate_instance(spec)
+        calls = []
+        for name in ("rule_complement_pair", "rule_equal_pair"):
+            def counted(st, i, h, rule=getattr(rules, name)):
+                calls.append((min(i, h), max(i, h), st.events))
+                return rule(st, i, h)
+            monkeypatch.setattr(rules, name, counted)
+        _, log, _ = run_to_fixed_point(inst)
+        assert calls and len(calls) == len(set(calls))
+        # The same events as when the sweep re-tested rejected edges.
+        events = repr([(ev.pass_number, ev.verdict, ev.live_after) for ev in log.events])
+        assert len(log.events) == 378
+        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "f78bd5f987c53076"
 
 
 @pytest.fixture

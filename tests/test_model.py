@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import (
-    QuboFormatError, QuboInstance, build_from_triplets, evaluate,
-    ising_to_qubo, read_instance, write_instance,
+    QuboFormatError, QuboInstance, _read_bulk, _read_lines, build_from_triplets,
+    evaluate, ising_to_qubo, read_instance, write_instance,
 )
 
 
@@ -197,3 +198,168 @@ class TestFileFormat:
         write_instance(inst, path)
         lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
         assert lines == ["p qubo 3", "o 4", "l 1 -1", "l 2 5", "q 1 2 2", "q 2 3 1"]
+
+    def test_writer_relabels_through_ascending_ids(self, tmp_path):
+        inst = QuboInstance(3, {2: 5, 1: -1}, {(2, 3): 1, (1, 2): 2}, 4)
+        path = tmp_path / "j.qubo"
+        write_instance(inst, path, ids=[2, 7, 9], n=10)
+        assert read_instance(path) == QuboInstance(
+            10, {2: -1, 7: 5}, {(2, 7): 2, (7, 9): 1}, 4)
+        lines = path.read_text().splitlines()
+        assert lines == ["p qubo 10", "o 4", "l 2 -1", "l 7 5", "q 2 7 2", "q 7 9 1"]
+
+
+def same_as_line_parser(path) -> QuboInstance | str:
+    """Assert read_instance agrees with the line parser; returns its result.
+
+    Agreement covers the dicts' insertion order, which the engine's scan
+    order follows, and the exact message of an error, which is returned.
+    """
+    try:
+        expected = _read_lines(path)
+    except QuboFormatError as exc:
+        with pytest.raises(QuboFormatError) as got:
+            read_instance(path)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = read_instance(path)
+    assert got == expected
+    assert list(got.linear.items()) == list(expected.linear.items())
+    assert list(got.quadratic.items()) == list(expected.quadratic.items())
+    return got
+
+
+def q_block(n_lines: int, n: int) -> list[str]:
+    rng = random.Random(n_lines)
+    pairs = set()
+    while len(pairs) < n_lines:
+        i, j = rng.sample(range(1, n + 1), 2)
+        pairs.add((min(i, j), max(i, j)))
+    return [f"q {i} {j} {rng.choice([-1, 1]) * rng.randint(1, 99)}\n"
+            for i, j in sorted(pairs)]
+
+
+class TestBulkParse:
+    """The bulk q-block path gives the line parser's result on every file."""
+
+    HEAD = "# header\np qubo 9\no -3\nl 2 4\nl 5 -7\n"
+
+    def check(self, tmp_path, text, bulk: bool):
+        path = tmp_path / "x.qubo"
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+        assert (_read_bulk(path.read_bytes()) is not None) is bulk
+        return same_as_line_parser(path)
+
+    def test_writer_output_takes_the_bulk_path(self, tmp_path):
+        inst = self.check(tmp_path, self.HEAD + "q 1 2 5\nq 2 9 -3\nq 3 4 1\n", True)
+        assert inst == QuboInstance(9, {2: 4, 5: -7}, {(1, 2): 5, (2, 9): -3, (3, 4): 1}, -3)
+        assert self.check(tmp_path, self.HEAD, True).quadratic == {}
+
+    @pytest.mark.parametrize("value", [
+        2**63 + 5, -(2**63) - 5, 10**18, -(10**18), 9223372036854775807,
+        10**40,
+    ])
+    def test_values_beyond_18_digits_stay_exact(self, tmp_path, value):
+        inst = self.check(tmp_path, self.HEAD + f"q 1 2 5\nq 3 4 {value}\n", False)
+        assert inst.quadratic[(3, 4)] == value
+
+    def test_largest_bulk_value_is_exact(self, tmp_path):
+        value = -(10**18 - 1)
+        inst = self.check(tmp_path, self.HEAD + f"q 3 4 {value}\n", True)
+        assert inst.quadratic[(3, 4)] == value
+
+    def test_malformed_line_deep_in_a_long_block(self, tmp_path):
+        lines = q_block(100_000, 2000)
+        head = "p qubo 2000\no 0\n"
+        self.check(tmp_path, head + "".join(lines), True)
+        for bad in ("q 12 13 x\n", "q 12 13\n", "q 12 2001 4\n", "q 0 5 4\n",
+                    "q 7 7 3\n", "w 1 2 3\n"):
+            broken = lines[:]
+            broken[77_777] = bad
+            message = self.check(tmp_path, head + "".join(broken), False)
+            assert message.startswith("line 77780: ")
+
+    def test_comment_and_blank_line_inside_the_block(self, tmp_path):
+        body = "q 1 2 5\n# note\nq 3 4 1  # trailing\n\nq 2 9 -3\n"
+        inst = self.check(tmp_path, self.HEAD + body, False)
+        assert inst.quadratic == {(1, 2): 5, (3, 4): 1, (2, 9): -3}
+
+    def test_repeated_and_cancelling_pairs(self, tmp_path):
+        inst = self.check(tmp_path, self.HEAD + "q 1 2 5\nq 3 4 1\nq 2 1 3\n", False)
+        assert inst.quadratic == {(1, 2): 8, (3, 4): 1}
+        inst = self.check(tmp_path, self.HEAD + "q 1 2 5\nq 3 4 1\nq 2 1 -5\n", False)
+        assert inst.quadratic == {(3, 4): 1}
+        inst = self.check(tmp_path, self.HEAD + "q 1 2 0\nq 3 4 1\n", False)
+        assert inst.quadratic == {(3, 4): 1}
+
+    def test_reversed_pairs(self, tmp_path):
+        inst = self.check(tmp_path, self.HEAD + "q 2 1 5\nq 9 3 -4\nq 4 5 1\n", True)
+        assert list(inst.quadratic.items()) == [((1, 2), 5), ((3, 9), -4), ((4, 5), 1)]
+
+    def test_crlf_and_missing_final_newline(self, tmp_path):
+        text = self.HEAD + "q 1 2 5\nq 3 4 1\n"
+        expected = self.check(tmp_path, text, True)
+        assert self.check(tmp_path, text.replace("\n", "\r\n"), False) == expected
+        assert self.check(tmp_path, text.rstrip("\n"), False) == expected
+        head_only = self.HEAD.replace("\n", "\r\n") + "q 1 2 5\nq 3 4 1\n"
+        assert self.check(tmp_path, head_only, False) == expected
+
+    def test_non_utf8_head(self, tmp_path):
+        message = self.check(tmp_path, b"p qubo 2\n\xff\nq 1 2 3\n", False)
+        assert message.startswith("file is not UTF-8 text")
+
+    MUTATIONS = [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.rstrip("\n"),
+        lambda t: t + "q 1 2 3\n",
+        lambda t: t + "# end\n",
+        lambda t: t + "\n",
+        lambda t: t.replace("q ", "q  ", 1),
+        lambda t: t.replace("q ", "q\t", 1),
+        lambda t: t.replace(" -", " +", 1),
+        lambda t: t.replace(" -", " -0", 1),
+        lambda t: t.replace("q 1", "q 01", 1),
+        lambda t: t.replace("q 1", "q 1_0", 1),
+        lambda t: t.replace(" 1\n", " 0\n", 1),
+        lambda t: t.replace(" 1\n", f" {2**64}\n", 1),
+        lambda t: t.replace(" 1\n", " 1000000000000000000\n", 1),
+        lambda t: t.replace("q 1 ", "q 0 ", 1),
+        lambda t: t.replace("q 1 ", "q 99999 ", 1),
+        lambda t: t.replace("q 1 ", "q -1 ", 1),
+        lambda t: t.replace("l ", "q ", 1),
+        lambda t: t.replace("p qubo", "q 1 2 3\np qubo", 1),
+        lambda t: t.replace("o ", "q 1 2 3\no ", 1),
+        lambda t: t.replace("p qubo 60", "p qubo 6", 1),
+        lambda t: t.replace("p qubo 60", "p qubo 99999999999999999999999", 1),
+        lambda t: "p qubo 60\n" + t,
+        lambda t: t.replace("\n", "\nq 3 4 5\n", 3),
+        lambda t: t.replace("\n", " \n"),
+        lambda t: t.replace("\n", "\u2028", 1),
+    ]
+
+    def test_randomized_against_line_parser(self, tmp_path):
+        rng = random.Random(11)
+        for k in range(12):
+            spec = GeneratorSpec.from_design(60, 300, design_table()[k % 16], seed=k)
+            path = tmp_path / "g.qubo"
+            write_instance(generate_instance(spec), path, header=["generated"])
+            text = path.read_text()
+            assert isinstance(same_as_line_parser(path), QuboInstance)
+            assert _read_bulk(path.read_bytes()) is not None
+            for mutate in rng.sample(self.MUTATIONS, 8):
+                path.write_text(mutate(text), newline="")
+                same_as_line_parser(path)
+            lines = text.splitlines(keepends=True)
+            for _ in range(8):
+                mutated = lines[:]
+                k = rng.randrange(len(mutated))
+                a, b = rng.randrange(len(mutated)), rng.randrange(len(mutated))
+                mutated[k] = rng.choice([
+                    mutated[k][: rng.randrange(len(mutated[k]))],
+                    mutated[a],
+                    mutated[k].replace(" ", "  "),
+                    f"q {rng.randint(0, 61)} {rng.randint(0, 61)} {rng.randint(-3, 3)}\n",
+                ])
+                mutated[a], mutated[b] = mutated[b], mutated[a]
+                path.write_text("".join(mutated), newline="")
+                same_as_line_parser(path)

@@ -4,15 +4,17 @@ import pytest
 
 from conftest import (
     catalog_firings as _catalog_firings, check_verdict_against_optima,
-    optima_by_enumeration, random_instance, restricted_optimum,
+    optima_by_enumeration, random_instance, replay, restricted_optimum,
+    sweep_instance,
 )
 from quboreduce import rules
+from quboreduce.engine import run_to_fixed_point
 from quboreduce.model import build_from_triplets
 from quboreduce.rules import (
     Fix, Inequality, InequalityKind, PairFix, RuleVerdict, SubstituteComplement,
     SubstituteEqual, derive_pair_inequalities, m_lower_bound, penalty_rewrite,
     rule_complement_pair, rule_equal_pair, rule_fix_one, rule_fix_zero,
-    rule_pair_one, rule_pair_one_zero, rule_pair_zero,
+    rule_pair_one, rule_pair_one_zero, rule_pair_zero, rule_pair_zero_one,
 )
 from quboreduce.state import init_state
 
@@ -273,6 +275,64 @@ _REGIMES = (
     dict(n=(2, 10), coef=10, density=0.4),
     dict(n=(6, 12), coef=4, density=0.25),
 )
+
+
+PAIR_RULES = (
+    rule_pair_zero, rule_pair_one, rule_pair_one_zero, rule_pair_zero_one,
+    rule_complement_pair, rule_equal_pair,
+)
+
+
+def screen_rejects_a_firing_edge(st) -> str | None:
+    """An edge where a pair verdict exists but the slack screen fails, if any."""
+    for verdict in rules.catalog_firings(st):
+        concl = verdict.conclusion
+        if not isinstance(concl, Fix) and not rules.pair_may_fire(st, concl.i, concl.h):
+            return f"{verdict} at events={st.events}"
+    for i in st.free_variables():
+        for h in st.adj[i]:
+            verdicts = derive_pair_inequalities(st, i, h)
+            verdicts += [v for rule in PAIR_RULES if (v := rule(st, i, h))]
+            if verdicts and not rules.pair_may_fire(st, i, h):
+                return f"{verdicts[0]} at events={st.events}"
+    return None
+
+
+class TestSlackScreen:
+    @pytest.mark.parametrize("d, passes", [(-1, False), (-2, False), (-3, True)])
+    def test_boundary_of_the_screen(self, d, passes):
+        # Rows 1 and 2 have c = 3 and a -4 edge to 3, so s0 = 3 and
+        # -s1 = 1 - d on both: t = min(3, 1 - d) is 2, 3, 3 for d = -1, -2, -3.
+        st = state_of((1, 1, 3), (2, 2, 3), (3, 3, 4), (1, 2, d), (1, 3, -4), (2, 3, -4))
+        assert rules.pair_may_fire(st, 1, 2) is passes
+        assert rules.pair_may_fire(st, 2, 1) is passes
+        assert screen_rejects_a_firing_edge(st) is None
+        # At |d| = t, R2_1 fires with equality, so the screen must not be strict.
+        fired = [(v.rule_id, v.unique) for v in derive_pair_inequalities(st, 1, 2)]
+        assert (("R2_1", False) in fired) is passes
+
+    def test_screen_passes_every_firing_edge_of_the_sweep(self):
+        # Every replayed state of the acceptance sweep's mining runs, and
+        # every state where an inequality was mined.
+        for t in range(1000):
+            inst = sweep_instance(t)
+            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            mined = {}
+            for rec in log.inequality_records:
+                mined.setdefault(rec.snapshot_id, []).append(rec.verdict.conclusion)
+            for st in replay(inst, log.events):
+                assert screen_rejects_a_firing_edge(st) is None, f"instance {t}"
+                for concl in mined.pop(st.events, ()):
+                    assert rules.pair_may_fire(st, concl.i, concl.h), f"instance {t}"
+            assert not mined
+
+    def test_screen_passes_every_firing_edge_on_tie_heavy_states(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            inst = random_instance(rng, rng.randint(2, 12), coef=2)
+            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            for st in replay(inst, log.events):
+                assert screen_rejects_a_firing_edge(st) is None
 
 
 class TestPerRuleSoundness:
