@@ -1,11 +1,12 @@
 """Multi-pass scan engine that drives the rule catalog to a fixed point.
 
-Each pass walks the live-node list split into an i-group (not yet examined
-this pass) and an h-group (already examined, eligible as partners).  A node
-is first checked by the single-variable rules, then paired against its
-h-group neighbours for the pair-assignment rules, on the edges that pass the
-slack screen :func:`rules.pair_may_fire`.  Dropping a node records
-where the next pass may stop early.  Once a pass drops nothing, a residual
+A row is dirty when its data (c_v and its edges) changed since its last exam.
+Each pass is one generation of dirty rows: every free row dirty at its start
+is examined in ascending id order, first by the single-variable rules, then
+paired for the pair-assignment rules with its clean neighbours, on the edges
+that pass the slack screen :func:`rules.pair_may_fire`.  A pair with a dirty
+endpoint is probed when that endpoint's turn comes, so when no row is dirty
+no fix or pair rule fires anywhere.  Once a pass drops nothing, a residual
 sweep applies the substitution rules 2.5 and 2.6: per-variable flags screen
 the edges, and the general predicates of :mod:`rules` decide each one.  One
 sweep applies every substitution it finds; if it found any, the passes
@@ -61,7 +62,6 @@ class ReductionLog:
 class PassSummary:
     pass_number: int
     drops: int
-    early_stop: bool
     examined: int
 
 
@@ -181,19 +181,13 @@ class _Reducer:
         self.log = log
         self.emit_inequalities = emit_inequalities
         self.sched = ResidualScheduler(state.n)
-        # stamps[v] is touched[v] at v's last no-fire single-variable exam;
-        # the exam only needs repeating once the row changes again.
+        # stamps[v] is touched[v] at v's last exam; row v is dirty, and due
+        # for the next pass, while the two differ.
         self.stamps = [-1] * (state.n + 1)
-        # Pair probes are skipped when both rows are unchanged since the
-        # start of the previous pass: the pair was probed (or validly
-        # skipped) there with identical data.
-        self._barrier = -1
         # Both orientations of the edges the residual sweep's rules rejected
         # on the state as it was at event count _rejected_at.
         self._rejected: set[tuple[int, int]] = set()
         self._rejected_at = -1
-        self.large = state.n + 1
-        self._drops = 0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -201,23 +195,6 @@ class _Reducer:
         apply_conclusion(self.s, verdict.conclusion)
         self.log.events.append(LoggedEvent(pass_no, verdict, self.s.live_count))
         self.log.per_rule_counts[verdict.rule_id] += 1
-
-    def _note_drop(self, dropped: int = 1) -> None:
-        cur = self.s.cursors
-        cur.next_end_loc = cur.h_loc_end
-        cur.end_loc = self.large
-        self._drops += dropped
-
-    def _drop_h(self, h: int) -> None:
-        """Remove an h-group node: the group's front slides into its slot."""
-        s = self.s
-        cur = s.cursors
-        p = s.pos[h]
-        front = s.nlist[cur.h_loc1]
-        s.nlist[p] = front
-        s.pos[front] = p
-        s.pos[h] = 0
-        cur.h_loc1 += 1
 
     def _examine_fix(self, v: int) -> rules.RuleVerdict | None:
         # Zero before one so a dead-even variable lands on the zero side.
@@ -253,123 +230,46 @@ class _Reducer:
                 self._mine(pass_no, i, h)
             return None
         self._apply(pass_no, v)
-        self._drop_h(h)
-        self._note_drop(2)
         return v
 
     # -- passes -------------------------------------------------------------
 
     def run_pass(self, pass_no: int) -> PassSummary:
+        """Examine, in ascending id order, every free row changed since its last exam.
+
+        A row whose single-variable rules do not fire probes its neighbours
+        whose rows are clean, through the screen, up to the first pair hit.
+        A neighbour still dirty probes the pair itself later, when both rows
+        are current; a row an event changes after its exam goes to the next
+        pass.
+        """
         s = self.s
-        cur = s.cursors
-        nlist, pos, adj, status = s.nlist, s.pos, s.adj, s.status
-        stamps, touched = self.stamps, s.touched
-        barrier = self._barrier
-        self._barrier = s.events
-        self._drops = 0
+        adj, status, stamps, touched = s.adj, s.status, self.stamps, s.touched
+        live = s.live_count
+        todo = [v for v in s.free_variables() if stamps[v] != touched[v]]
         examined = 0
-        early = False
-        while cur.i_loc <= cur.i_loc_end:
-            i = nlist[cur.i_loc]
+        for i in todo:
             if status[i] != FREE:
-                cur.i_loc += 1
                 continue
             examined += 1
-            turn_touched = touched[i]
-            if stamps[i] != touched[i]:
-                v = self._examine_fix(i)
-                if v is not None:
-                    self._apply(pass_no, v)
-                    self._note_drop()
-                    cur.i_loc += 1
-                    continue
-                stamps[i] = touched[i]
-            alive = True
-            adj_i = adj[i]
-            if adj_i and cur.h_loc1 <= cur.h_loc_end:
-                lo, hi = cur.h_loc1, cur.h_loc_end
-                candidates = []
-                if touched[i] > barrier:
-                    for j in adj_i:
-                        pj = pos[j]
-                        if lo <= pj <= hi:
-                            candidates.append((pj, j))
-                else:
-                    for j in adj_i:
-                        pj = pos[j]
-                        if lo <= pj <= hi and (
-                            touched[j] > barrier or stamps[j] != touched[j]
-                        ):
-                            candidates.append((pj, j))
-                candidates.sort()
-                for _, h in candidates:
-                    if status[h] != FREE or h not in adj_i:
-                        continue
-                    if stamps[h] != touched[h]:
-                        vh = self._examine_fix(h)
-                        if vh is not None:
-                            self._apply(pass_no, vh)
-                            self._drop_h(h)
-                            self._note_drop()
-                            # i's row changed with h's removal; re-check it.
-                            vi = self._examine_fix(i)
-                            if vi is not None:
-                                self._apply(pass_no, vi)
-                                self._note_drop()
-                                alive = False
-                                break
-                            stamps[i] = touched[i]
-                            continue
-                        stamps[h] = touched[h]
-                    if touched[i] <= barrier and touched[h] <= barrier:
-                        continue
-                    if not rules.pair_may_fire(s, i, h):
-                        continue
-                    if self._try_pair(pass_no, i, h) is not None:
-                        alive = False
-                        break
-            if not alive:
-                cur.i_loc += 1
+            stamps[i] = touched[i]
+            v = self._examine_fix(i)
+            if v is not None:
+                self._apply(pass_no, v)
                 continue
-            cur.h_loc_end += 1
-            nlist[cur.h_loc_end] = i
-            pos[i] = cur.h_loc_end
-            if touched[i] != turn_touched:
-                # A partner's fix changed i's row during its own turn; the
-                # stop marker must cover its new slot so the next pass
-                # re-examines it.
-                cur.next_end_loc = cur.h_loc_end
-            cur.i_loc += 1
-            if cur.i_loc > cur.end_loc:
-                # Nodes past end_loc have no new basis for dropping, so the
-                # pass stops here; they still join the h-group so that a
-                # residual substitution can resume passes over every survivor.
-                early = True
-                while cur.i_loc <= cur.i_loc_end:
-                    node = nlist[cur.i_loc]
-                    if status[node] == FREE:
-                        cur.h_loc_end += 1
-                        nlist[cur.h_loc_end] = node
-                        pos[node] = cur.h_loc_end
-                    cur.i_loc += 1
-                break
-        self.log.pass_drops.append(self._drops)
-        return PassSummary(pass_no, self._drops, early, examined)
-
-    def setup_next_pass(self) -> None:
-        """The h-group of the finished pass becomes the next pass's i-group."""
-        cur = self.s.cursors
-        cur.i_loc = cur.h_loc1
-        cur.i_loc_end = cur.h_loc_end
-        cur.h_loc_end = cur.h_loc1 - 1
-        cur.end_loc = cur.next_end_loc
+            # A hit fixes i and empties adj[i], so the loop must end there.
+            for h in adj[i]:
+                if (stamps[h] == touched[h] and rules.pair_may_fire(s, i, h)
+                        and self._try_pair(pass_no, i, h) is not None):
+                    break
+        drops = live - s.live_count
+        self.log.pass_drops.append(drops)
+        return PassSummary(pass_no, drops, examined)
 
     # -- residual sweep -------------------------------------------------------
 
     def _residual_hit(self, pass_no: int, verdict: rules.RuleVerdict) -> None:
         self._apply(pass_no, verdict)
-        self._drop_h(verdict.conclusion.h)
-        self._note_drop()
         if self.log.pass_drops:
             self.log.pass_drops[-1] += 1
 
@@ -436,7 +336,7 @@ class _Reducer:
 
 
 def run_first_pass(state: ReductionState, log: ReductionLog) -> PassSummary:
-    """Run one scan pass over the current i-group of an existing state."""
+    """Run one scan pass over every free row of an existing state."""
     return _Reducer(state, log).run_pass(log.pass_count + 1)
 
 
@@ -475,11 +375,8 @@ def run_to_fixed_point(
     pass_no = 0
     while True:
         pass_no += 1
-        # A pass that stops early has dropped nothing: any drop moves its
-        # stop marker past every position.
         if not reducer.run_pass(pass_no).drops and not reducer.run_residual(pass_no):
             break
-        reducer.setup_next_pass()
     survivors = state.free_variables()
     reduced = _dense_reduced(state, survivors)
     solution_map = SolutionMap(

@@ -13,6 +13,7 @@ sums quantify only over real edges.
 
 from __future__ import annotations
 
+import io
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -213,8 +214,9 @@ def read_instance(path) -> QuboInstance:
     reports errors.
     """
     with open(path, "rb") as fh:
-        instance = _read_bulk(fh.read())
-    return _read_lines(path) if instance is None else instance
+        data = fh.read()
+    instance = _read_bulk(data)
+    return _read_lines(data) if instance is None else instance
 
 
 def _read_bulk(data: bytes) -> QuboInstance | None:
@@ -256,15 +258,17 @@ def _read_bulk(data: bytes) -> QuboInstance | None:
     return QuboInstance(n, {k: c for k, c in linear.items() if c != 0}, quadratic, offset)
 
 
-def _read_lines(path) -> QuboInstance:
-    """The line parser: any file the format allows, with exact integers."""
-    # The file decodes chunk by chunk as it is iterated, so a bad byte
-    # surfaces at the loop, not inside the per-line error mapping.
+def _read_lines(data: bytes) -> QuboInstance:
+    """The line parser: any file the format allows, with exact integers.
+
+    ``data`` decodes whole, so a bad byte's position counts from the file's
+    start; lines end at LF, CRLF or a lone CR, as in a text-mode file.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            n, offset, linear, quadratic = _parse_lines(fh)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise QuboFormatError(f"file is not UTF-8 text: {exc}") from exc
+    n, offset, linear, quadratic = _parse_lines(io.StringIO(text, newline=None))
     return QuboInstance(
         n,
         {i: v for i, v in linear.items() if v != 0},

@@ -3,15 +3,14 @@
 Holds a working copy of the instance plus the bookkeeping the rules read:
 per-variable sums of negative/positive incident edge weights (``d_minus`` /
 ``d_plus``), the extreme incident edge on each side with its neighbour index
-(``min_val``/``min_arg``, ``max_val``/``max_arg``), the live-node scan list
-with its cursors, and per-variable status.  All mutation goes through
+(``min_val``/``min_arg``, ``max_val``/``max_arg``), per-variable status, and
+``touched``, the event count of each row's last change, from which the engine
+tells which rows need examining again.  All mutation goes through
 ``apply_fix`` and the two substitution operations, which keep every derived
 quantity incrementally consistent with the working coefficients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .model import QuboInstance
 
@@ -23,23 +22,6 @@ SAME_AS = 3        # x_var == x_ref
 COMPLEMENT_OF = 4  # x_var == 1 - x_ref
 
 
-@dataclass
-class ScanCursor:
-    """Positions into the node list.
-
-    ``h_loc1 > h_loc_end`` denotes an empty h-group.  ``end_loc`` is the
-    position after which a pass may stop early; ``next_end_loc`` records,
-    at each drop, how far the following pass must re-examine.
-    """
-
-    i_loc: int
-    i_loc_end: int
-    h_loc1: int
-    h_loc_end: int
-    end_loc: int
-    next_end_loc: int
-
-
 class ReductionState:
     """Live-variable bookkeeping over a working copy of a QUBO instance."""
 
@@ -47,7 +29,7 @@ class ReductionState:
         "n", "offset", "c", "adj", "d_minus", "d_plus",
         "min_val", "min_arg", "max_val", "max_arg",
         "status", "live_count", "events", "touched",
-        "assignment_log", "identity_log", "nlist", "pos", "cursors",
+        "assignment_log", "identity_log",
     )
 
     def __init__(self, instance: QuboInstance):
@@ -86,14 +68,6 @@ class ReductionState:
         self.touched = [0] * (n + 1)
         self.assignment_log: list[tuple[int, int]] = []
         self.identity_log: list[tuple[int, int, int]] = []  # (dropped, kind, kept)
-        self.nlist = list(range(n + 1))  # nlist[pos] = node; position 0 unused
-        self.pos = list(range(n + 1))    # pos[node] = position
-        # Empty h-group, full i-group; end_loc beyond any position so the
-        # first pass examines everything.
-        self.cursors = ScanCursor(
-            i_loc=1, i_loc_end=n, h_loc1=1, h_loc_end=0,
-            end_loc=n + 1, next_end_loc=0,
-        )
 
     # -- queries ---------------------------------------------------------
 
@@ -301,5 +275,5 @@ class ReductionState:
 
 
 def init_state(instance: QuboInstance) -> ReductionState:
-    """Fresh state: full i-group, empty h-group, sums and extremes computed."""
+    """Fresh state: every variable free, sums and extremes computed."""
     return ReductionState(instance)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from quboreduce.engine import (
     verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
-from quboreduce.model import QuboInstance, build_from_triplets, evaluate
+from quboreduce.model import QuboInstance, build_from_triplets, evaluate, write_instance
 from quboreduce.oracle import brute_force_solve, check_equivalence
 from quboreduce.state import COMPLEMENT_OF, SAME_AS, init_state
 
@@ -35,8 +36,9 @@ def disjoint_union(a: QuboInstance, b: QuboInstance) -> QuboInstance:
 
 class TestFirstPass:
     def test_triple_trace(self):
-        # x1 survives to the h-group; the (2, 1) pair fires the one-zero rule
-        # at its boundary; x3's updated weight then fixes it to one.
+        # x1 survives its exam; x2 then probes its clean neighbour x1, and the
+        # (2, 1) pair fires the one-zero rule at its boundary; x3's updated
+        # weight then fixes it to one.
         state = init_state(TRIPLE)
         log = ReductionLog()
         summary = run_first_pass(state, log)
@@ -138,7 +140,7 @@ class TestVerifyFixedPoint:
 class TestResidual:
     def test_empty_lists_do_nothing(self):
         state = init_state(RULE_SILENT)
-        # put every node in the h-group as after a completed pass
+        # examine every row, as after a completed pass
         log = ReductionLog()
         run_first_pass(state, log)
         assert run_residual_pass(state, log) == 0
@@ -245,10 +247,10 @@ class TestResidual:
             monkeypatch.setattr(rules, name, counted)
         _, log, _ = run_to_fixed_point(inst)
         assert calls and len(calls) == len(set(calls))
-        # The same events as when the sweep re-tested rejected edges.
+        # The run's events in order: a change of scheduling order shows here.
         events = repr([(ev.pass_number, ev.verdict, ev.live_after) for ev in log.events])
-        assert len(log.events) == 378
-        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "f78bd5f987c53076"
+        assert len(log.events) == 377
+        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "969cb5690169a035"
 
 
 @pytest.fixture
@@ -266,6 +268,21 @@ def probes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def probed_rows(monkeypatch):
+    """Every pair probe of a test's runs as (low, high, touched[low], touched[high])."""
+    seen = []
+    probe = _Reducer._try_pair
+
+    def recording(self, pass_no, i, h):
+        a, b = min(i, h), max(i, h)
+        seen.append((a, b, self.s.touched[a], self.s.touched[b]))
+        return probe(self, pass_no, i, h)
+
+    monkeypatch.setattr(_Reducer, "_try_pair", recording)
+    return seen
+
+
 class TestInstrumentation:
     def test_no_duplicate_pair_probes_within_pass(self, probes):
         rng = random.Random(70)
@@ -278,6 +295,23 @@ class TestInstrumentation:
                 key = (pass_no, min(i, h), max(i, h))
                 assert key not in seen, f"pair {key} probed twice"
                 seen.add(key)
+
+    def test_no_pair_probed_twice_on_unchanged_rows(self, probed_rows):
+        # A row is examined once per change, and probes only partners whose
+        # rows were examined unchanged; so a probe outcome is never recomputed.
+        rng = random.Random(75)
+        instances = [sweep_instance(t) for t in range(1000)]
+        instances += [random_instance(rng, rng.randint(2, 14), coef=2) for _ in range(300)]
+        for row in (1, 3):
+            spec = GeneratorSpec.from_design(2000, 20000, design_table()[row - 1], seed=42)
+            instances.append(generate_instance(spec))
+        total = 0
+        for inst in instances:
+            probed_rows.clear()
+            run_to_fixed_point(inst)
+            assert len(probed_rows) == len(set(probed_rows))
+            total += len(probed_rows)
+        assert total > 10000
 
     def test_pair_fix_ends_the_turn(self, probes):
         # after a pair-assignment fires for i, no further partner of i is
@@ -410,27 +444,20 @@ class TestMultiPass:
         assert log.pass_count <= 25
         assert verify_fixed_point(init_state(reduced))
 
-    def test_early_stopping_pass_drops_nothing(self, monkeypatch):
-        # run_to_fixed_point ends on a pass that dropped nothing and a
-        # residual sweep that found nothing; it need not test early stops
-        # separately because an early stop implies zero drops
-        summaries = []
-        run_pass = _Reducer.run_pass
-
-        def recording(self, pass_no):
-            summaries.append(run_pass(self, pass_no))
-            return summaries[-1]
-
-        monkeypatch.setattr(_Reducer, "run_pass", recording)
-        instances = [sweep_instance(t) for t in range(1000)]
-        for row in (1, 3, 5):
-            spec = GeneratorSpec.from_design(2000, 20000, design_table()[row - 1], seed=42)
-            instances.append(generate_instance(spec))
-        for inst in instances:
-            run_to_fixed_point(inst)
-        early = [sm for sm in summaries if sm.early_stop]
-        assert early, "no pass stopped early"
-        assert all(sm.drops == 0 for sm in early)
+    @pytest.mark.parametrize("row, survivors, offset, digest", [
+        (1, 1568, 25729, "6f41ef96df14f420"),
+        (3, 1498, 38733, "4f172fd1b546c6a1"),
+    ])
+    def test_pinned_fixed_points(self, row, survivors, offset, digest):
+        # generate --size 2000 --edges 20000 --seed 42 --design-row <row>:
+        # a scheduling change must not move the fixed point unnoticed
+        spec = GeneratorSpec.from_design(2000, 20000, design_table()[row - 1], seed=42)
+        reduced, _, smap = run_to_fixed_point(generate_instance(spec))
+        assert (len(smap.survivors), reduced.offset) == (survivors, offset)
+        text = io.StringIO()
+        write_instance(reduced, text)
+        assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == digest
+        assert verify_fixed_point(init_state(reduced))
 
     def test_pass_drop_counts_are_variables(self):
         _, log, smap = run_to_fixed_point(TRIPLE)

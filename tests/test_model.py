@@ -4,8 +4,8 @@ import pytest
 
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import (
-    QuboFormatError, QuboInstance, _read_bulk, _read_lines, build_from_triplets,
-    evaluate, ising_to_qubo, read_instance, write_instance,
+    QuboFormatError, QuboInstance, _parse_lines, _read_bulk, _read_lines,
+    build_from_triplets, evaluate, ising_to_qubo, read_instance, write_instance,
 )
 
 
@@ -216,7 +216,7 @@ def same_as_line_parser(path) -> QuboInstance | str:
     order follows, and the exact message of an error, which is returned.
     """
     try:
-        expected = _read_lines(path)
+        expected = _read_lines(path.read_bytes())
     except QuboFormatError as exc:
         with pytest.raises(QuboFormatError) as got:
             read_instance(path)
@@ -307,6 +307,26 @@ class TestBulkParse:
     def test_non_utf8_head(self, tmp_path):
         message = self.check(tmp_path, b"p qubo 2\n\xff\nq 1 2 3\n", False)
         assert message.startswith("file is not UTF-8 text")
+
+    def test_non_utf8_position_counts_from_the_file_start(self, tmp_path):
+        # far past the first chunk a text-mode file decodes
+        data = b"p qubo 2\n" + b"# padding\n" * 30000 + b"l 1 \xff\n"
+        message = self.check(tmp_path, data, False)
+        assert f"position {data.index(0xff)}:" in message
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_lines_split_as_in_a_text_file(self, tmp_path, end):
+        path = tmp_path / "x.qubo"
+        path.write_bytes(end.join(["p qubo 3", "l 1 2", "q 1 2 -3", "q 3 2 4", ""]).encode())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                n, offset, linear, quadratic = _parse_lines(fh)
+        except QuboFormatError as exc:
+            with pytest.raises(QuboFormatError) as got:
+                _read_lines(path.read_bytes())
+            assert str(got.value) == str(exc)
+            return
+        assert _read_lines(path.read_bytes()) == QuboInstance(n, linear, quadratic, offset)
 
     MUTATIONS = [
         lambda t: t.replace("\n", "\r\n"),

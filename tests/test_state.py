@@ -37,12 +37,6 @@ class TestInitState:
         assert st.d_minus[1:] == [-2, -2, 0]
         assert st.d_plus[1:] == [0, 1, 1]
 
-    def test_cursors(self):
-        st = init_state(TRIPLE)
-        cur = st.cursors
-        assert (cur.i_loc, cur.i_loc_end) == (1, 3)
-        assert cur.h_loc1 > cur.h_loc_end  # empty h-group
-
 
 class TestApplyFix:
     def test_fix_one_folds_row(self):
