@@ -199,7 +199,7 @@ def cmd_generate(args) -> int:
         base = generator.DESK_SIZES if args.suite == "desk" else generator.STANDARD_SIZES
         out_dir = args.output
         try:
-            # Generated (and so validated) first: a bad spec leaves no directory.
+            # A bad spec raises here, before the directory is made.
             suite = generator.generate_benchmark_suite(
                 list(base), rows, seed=args.seed, hub_fraction=args.hub_fraction
             )
@@ -210,7 +210,7 @@ def cmd_generate(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"wrote {len(suite)} instances to {out_dir}")
+        print(f"wrote {len(base) * len(rows)} instances to {out_dir}")
         return 0
     if not 1 <= args.design_row <= len(rows):
         print(f"error: design row must be in 1..{len(rows)}", file=sys.stderr)
@@ -283,7 +283,7 @@ def cmd_verify(args) -> int:
         dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
         report = oracle.check_equivalence(original, dense, solution_map,
                                           n_limit=args.limit)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report.ok:

@@ -7,10 +7,10 @@ paired for the pair-assignment rules with its clean neighbours, on the edges
 that pass the slack screen :func:`rules.pair_may_fire`.  A pair with a dirty
 endpoint is probed when that endpoint's turn comes, so when no row is dirty
 no fix or pair rule fires anywhere.  Once a pass drops nothing, a residual
-sweep applies the substitution rules 2.5 and 2.6: per-variable flags screen
-the edges, and the general predicates of :mod:`rules` decide each one.  One
-sweep applies every substitution it finds; if it found any, the passes
-resume, and the whole loop repeats until truly nothing fires.
+sweep applies the complement and equality substitutions: per-variable flags
+screen the edges, and the general predicates of :mod:`rules` decide each
+one.  One sweep applies every substitution it finds; if it found any, the
+passes resume, and the whole loop repeats until truly nothing fires.
 
 Every state change is logged as an event; applying the logged conclusions in
 order with :func:`apply_conclusion` to a fresh state rebuilds each
@@ -102,15 +102,14 @@ def reconstruct_solution(
 class ResidualScheduler:
     """Screen flags for the residual substitution sweep.
 
-    Each flag is one endpoint condition of a substitution rule, evaluated at
-    the variable's extreme edge of the rule's sign, where it is loosest; so a
-    flag is necessary for its condition at any edge of that sign.  a and b
-    are Rule 2.5's c_v - d + D_v^- >= 0 and c_v + d + D_v^+ <= 0 at the most
-    negative edge d; c and d are Rule 2.6's c_v - d + D_v^+ <= 0 and
-    c_v + d + D_v^- >= 0 at the most positive one.  Rule 2.5 can thus fire on
-    (i, h) only if (a_i or a_h) and (b_i or b_h), and Rule 2.6 only if
-    (c_i or d_h) and (d_i or c_h).  ab_list and cd_list hold the free
-    variables with a flag of the family set.
+    Each flag says whether v's extreme edge of one sign reaches one of v's
+    slacks (see :func:`rules.slacks`); no other edge of that sign can.  a and
+    b test w_v and u_v against the most negative edge, c and d test u_v and
+    w_v against the most positive one.  A substitution threshold in
+    :data:`rules.PAIR_RULES` is the larger of two minima of endpoint slacks,
+    so the complement rule can fire on (i, h) only if (a_i or a_h) and
+    (b_i or b_h), and the equality rule only if (c_i or d_h) and (d_i or c_h).
+    ab_list and cd_list hold the free variables with a flag of the family set.
     """
 
     def __init__(self, n: int):
@@ -124,12 +123,12 @@ class ResidualScheduler:
     def record(self, state: ReductionState, v: int) -> None:
         # A row without edges of one sign has extreme 0 there, so its flags
         # of that family read as fix conditions; no edge ever consults them.
-        c, dm, dp = state.c, state.d_minus, state.d_plus
-        mn, mx = state.min_val[v], state.max_val[v]
-        self.a_flag[v] = c[v] - mn + dm[v] >= 0
-        self.b_flag[v] = c[v] + mn + dp[v] <= 0
-        self.c_flag[v] = c[v] - mx + dp[v] <= 0
-        self.d_flag[v] = c[v] + mx + dm[v] >= 0
+        u, w = rules.slacks(state, v)
+        neg, pos = -state.min_val[v], state.max_val[v]
+        self.a_flag[v] = neg >= w
+        self.b_flag[v] = neg >= u
+        self.c_flag[v] = pos >= u
+        self.d_flag[v] = pos >= w
 
     def refresh(self, state: ReductionState) -> None:
         """Recompute every flag from the current state and rebuild the lists."""
@@ -157,20 +156,6 @@ def apply_conclusion(state: ReductionState, concl: rules.Conclusion) -> None:
         state.apply_substitution_equal(concl.i, concl.h)
     else:
         raise RuntimeError(f"cannot apply conclusion {concl!r}")
-
-
-# Screening for inequality mining: each sub-rule's condition is loosest at
-# the arg-extreme partner, so it is only evaluated there.
-_MINE_AT_EXTREME = {
-    rules.R2_1: ("min", "i"),
-    rules.R1_2: ("min", "i"),
-    rules.R2_1p: ("min", "h"),
-    rules.R1_2p: ("min", "h"),
-    rules.R1_1: ("max", "i"),
-    rules.R2_2: ("max", "i"),
-    rules.R1_1p: ("max", "h"),
-    rules.R2_2p: ("max", "h"),
-}
 
 
 class _Reducer:
@@ -205,11 +190,13 @@ class _Reducer:
     def _mine(self, pass_no: int, i: int, h: int) -> None:
         s = self.s
         a, b = (i, h) if i < h else (h, i)
+        extreme_arg = s.max_arg if s.adj[a][b] > 0 else s.min_arg
         for verdict in rules.derive_pair_inequalities(s, a, b):
-            side, role = _MINE_AT_EXTREME[verdict.rule_id]
-            v, w = (a, b) if role == "i" else (b, a)
-            arg = s.min_arg[v] if side == "min" else s.max_arg[v]
-            if arg != w:
+            # A verdict is recorded only where its condition is loosest: at
+            # its endpoint's extreme edge of the edge's sign.
+            endpoint = rules.PAIR_RULES_BY_ID[verdict.rule_id].endpoint
+            v, w = (a, b) if endpoint == "i" else (b, a)
+            if extreme_arg[v] != w:
                 continue
             self.log.inequality_records.append(InequalityRecord(
                 pass_no, verdict, rules.m_lower_bound(s, verdict), s.events

@@ -13,6 +13,7 @@ seed reproduce instances coefficient for coefficient (PCG64 generator).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import ceil, comb, floor
 
@@ -267,18 +268,21 @@ def generate_benchmark_suite(
     rows: list[DesignRow],
     seed: int = 0,
     hub_fraction: float = 0.01,
-) -> list[BenchmarkInstance]:
-    """Cross product of size configurations and design rows.
+) -> Iterator[BenchmarkInstance]:
+    """Cross product of size configurations and design rows, built one at a time.
 
     Each instance gets its own child seed derived from (seed, size, row), so
-    the whole suite is reproducible and instances are independent.
+    the whole suite is reproducible and instances are independent.  The call
+    validates every spec; each instance is built as the iterator reaches it.
     """
-    out: list[BenchmarkInstance] = []
+    specs = []
     for size_idx, (label, n, m) in enumerate(base):
         for row_idx, row in enumerate(rows, start=1):
             child_seed = seed * 1_000_003 + size_idx * 1009 + row_idx
             spec = GeneratorSpec.from_design(
                 n, m, row, seed=child_seed, hub_fraction=hub_fraction
             )
-            out.append(BenchmarkInstance(label, row_idx, spec, generate_instance(spec)))
-    return out
+            spec.validate()
+            specs.append((label, row_idx, spec))
+    return (BenchmarkInstance(label, row_id, spec, generate_instance(spec))
+            for label, row_id, spec in specs)

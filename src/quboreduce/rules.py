@@ -6,16 +6,17 @@ optional :class:`RuleVerdict` without mutating anything.  A verdict's
 conclusion holds in *all* optimal solutions rather than merely in some
 optimal solution.
 
-Single-variable fixing works from the value bounds of a variable's
-contribution V(x_i) = c_i + sum_j d_ij x_j: the minimum over assignments is
-c_i + d_minus[i] and the maximum is c_i + d_plus[i].  Pair rules refine the
-same bounds with the x_h term pinned or complemented, and the pair-assignment
-rules bound the joint contribution of two variables at once.
+Every rule compares coefficients with the two slacks of each variable v,
+u_v = c_v + D_v^+ and w_v = -(c_v + D_v^-) (see :func:`slacks`).  A fix
+rule fires when one slack is <= 0.  A pair rule fires on an edge of its sign
+when |d| reaches a threshold over the endpoints' slacks; :data:`PAIR_RULES`
+holds every pair rule as one row, and all pair predicates, the catalog
+enumerator and the penalty bounds read their thresholds from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,17 +102,19 @@ class RuleVerdict:
     unique: bool
 
 
-# --- single-variable rules ----------------------------------------------
+# --- slacks and single-variable rules -------------------------------------
 
 
-def value_bounds(state: ReductionState, i: int) -> tuple[int, int]:
-    """Exact (min, max) of variable i's objective contribution when x_i = 1.
+def slacks(state: ReductionState, v: int) -> tuple[int, int]:
+    """Variable v's slacks (u_v, w_v) = (c_v + D_v^+, -(c_v + D_v^-)).
 
-    The minimum turns on every hostile neighbour, the maximum every friendly
-    one: c_i + d_minus[i] and c_i + d_plus[i].
+    v's contribution V(x_v) = c_v + sum_j d_vj x_j when x_v = 1 lies between
+    c_v + D_v^- = -w_v and c_v + D_v^+ = u_v, so x_v = 0 is optimal when
+    u_v <= 0 and x_v = 1 when w_v <= 0.  Every pair rule compares an edge
+    weight with these slacks (see :data:`PAIR_RULES`).
     """
-    c = state.c[i]
-    return c + state.d_minus[i], c + state.d_plus[i]
+    c = state.c[v]
+    return c + state.d_plus[v], -(c + state.d_minus[v])
 
 
 def rule_fix_one(state: ReductionState, i: int) -> RuleVerdict | None:
@@ -130,39 +133,108 @@ def rule_fix_zero(state: ReductionState, i: int) -> RuleVerdict | None:
     return None
 
 
+# --- the pair-rule table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PairRule:
+    """One pair rule, for the edges (i, h) of one sign.
+
+    It fires when |d| >= threshold(u_i, w_i, u_h, w_h), d being the edge's
+    weight and u, w the endpoints' :func:`slacks`.  Its verdict is unique
+    when |d| > threshold, and max(threshold, 0) bounds the penalty weight
+    that enforces its conclusion.
+    """
+
+    rule_id: str
+    sign: int  # +1 for positive edges, -1 for negative ones
+    threshold: Callable[[int, int, int, int], int]
+    conclude: Callable[[int, int], Conclusion]
+    # An inequality rule reads one endpoint's slack, "i" or "h", so its
+    # condition is loosest at that endpoint's extreme edge of the sign.  The
+    # rules that reduce the instance have None.
+    endpoint: str | None = None
+
+    def judge(self, size: int, i: int, h: int,
+              ui: int, wi: int, uh: int, wh: int) -> RuleVerdict | None:
+        """The verdict on (i, h) when |d| = size, or None if the rule does not fire."""
+        t = self.threshold(ui, wi, uh, wh)
+        if size >= t:
+            return RuleVerdict(self.rule_id, self.conclude(i, h), size > t)
+        return None
+
+    def bound(self, ui: int, wi: int, uh: int, wh: int) -> int:
+        """Lower bound on the penalty weight M: max(threshold, 0)."""
+        return max(self.threshold(ui, wi, uh, wh), 0)
+
+
+def _relation(kind: InequalityKind) -> Callable[[int, int], Inequality]:
+    return lambda i, h: Inequality(kind, i, h)
+
+
+# The pair-assignment and substitution rules come first for each sign, in
+# the order the catalog tries them; the inequality rules follow.
+PAIR_RULES = (
+    PairRule(R3_1, +1, lambda ui, wi, uh, wh: ui + uh, lambda i, h: PairFix(i, 0, h, 0)),
+    PairRule(R3_4, +1, lambda ui, wi, uh, wh: wi + wh, lambda i, h: PairFix(i, 1, h, 1)),
+    PairRule(R2_6, +1, lambda ui, wi, uh, wh: max(min(ui, wh), min(wi, uh)), SubstituteEqual),
+    PairRule(R1_1, +1, lambda ui, wi, uh, wh: wi, _relation(InequalityKind.H_LE_I), "i"),
+    PairRule(R1_1p, +1, lambda ui, wi, uh, wh: wh, _relation(InequalityKind.I_LE_H), "h"),
+    PairRule(R2_2, +1, lambda ui, wi, uh, wh: ui, _relation(InequalityKind.I_LE_H), "i"),
+    PairRule(R2_2p, +1, lambda ui, wi, uh, wh: uh, _relation(InequalityKind.H_LE_I), "h"),
+    PairRule(R3_2, -1, lambda ui, wi, uh, wh: wi + uh, lambda i, h: PairFix(i, 1, h, 0)),
+    PairRule(R3_3, -1, lambda ui, wi, uh, wh: ui + wh, lambda i, h: PairFix(h, 1, i, 0)),
+    PairRule(R2_5, -1, lambda ui, wi, uh, wh: max(min(wi, wh), min(ui, uh)),
+             SubstituteComplement),
+    PairRule(R2_1, -1, lambda ui, wi, uh, wh: ui, _relation(InequalityKind.AT_MOST_ONE), "i"),
+    PairRule(R2_1p, -1, lambda ui, wi, uh, wh: uh, _relation(InequalityKind.AT_MOST_ONE), "h"),
+    PairRule(R1_2, -1, lambda ui, wi, uh, wh: wi, _relation(InequalityKind.AT_LEAST_ONE), "i"),
+    PairRule(R1_2p, -1, lambda ui, wi, uh, wh: wh, _relation(InequalityKind.AT_LEAST_ONE), "h"),
+)
+
+PAIR_RULES_BY_ID = {rule.rule_id: rule for rule in PAIR_RULES}
+
+# Keyed by d > 0: the rules that reduce an edge of that sign, and the
+# inequality rules that mine it.
+_REDUCING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint is None)
+             for pos in (True, False)}
+_MINING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint)
+           for pos in (True, False)}
+
+
+def _probe(rule: PairRule, state: ReductionState, i: int, h: int) -> RuleVerdict | None:
+    d = state.adj[i].get(h)
+    if d is None or d * rule.sign <= 0:
+        return None
+    ui, wi = slacks(state, i)
+    uh, wh = slacks(state, h)
+    return rule.judge(abs(d), i, h, ui, wi, uh, wh)
+
+
 # --- the slack screen ------------------------------------------------------
 
 
 def pair_may_fire(state: ReductionState, i: int, h: int) -> bool:
     """Necessary condition for any pair rule to fire on the edge (i, h).
 
-    Write s0_v = c_v + D_v^+ and s1_v = c_v + D_v^-, and let
-    t_v = min(s0_v, -s1_v).  The screen passes when |d| >= min(t_i, t_h),
-    d being the edge's weight.  If t_i <= 0 or t_h <= 0 it passes
-    trivially; this is the case when an endpoint fixes (R2_0 fires when
-    s0_v <= 0, R1_0 when -s1_v <= 0).  Otherwise all four slacks are
-    positive, and every pair condition bounds |d| below by s0 or -s1 of one
-    endpoint, plus slacks:
-
-    - R3_1 needs d >= s0_i + s0_h, and R3_4 needs d >= -s1_i - s1_h;
-    - R3_2 needs |d| >= -s1_i + s0_h, and R3_3 the same with i, h swapped;
-    - R2_5 and R2_6 each need a condition from each of two sides, and each
-      condition reads |d| >= s0_v or |d| >= -s1_v for one endpoint v;
-    - each verdict of :func:`derive_pair_inequalities` is one such
-      condition.
-
-    Since t_v <= s0_v and t_v <= -s1_v, each of these implies
-    |d| >= t_v >= min(t_i, t_h).  So an edge the screen rejects fires no
-    pair rule and yields no inequality.
+    The screen passes when |d| reaches any of the four slacks u_i, w_i,
+    u_h, w_h, that is when |d| >= min(u_i, w_i, u_h, w_h).  If one slack
+    is <= 0 it passes trivially; that endpoint then fixes (R2_0 fires when
+    u_v <= 0, R1_0 when w_v <= 0).  Otherwise all four slacks are positive,
+    and every threshold in :data:`PAIR_RULES` is at least the smallest of
+    them: a single slack is one of them, a sum of two positive slacks
+    exceeds each, and a max of mins of slacks is at least one of those
+    mins.  So an edge the screen rejects has |d| below every threshold: it
+    fires no pair rule and yields no inequality.
     """
     d = abs(state.adj[i][h])
     c, dm, dp = state.c, state.d_minus, state.d_plus
-    # |d| >= min(t_i, t_h) holds when |d| reaches any of the four slacks.
+    # The four slacks are spelled out here: a pass screens every edge it walks.
     return (d >= c[i] + dp[i] or d >= -(c[i] + dm[i])
             or d >= c[h] + dp[h] or d >= -(c[h] + dm[h]))
 
 
-# --- pairwise inequality rules -------------------------------------------
+# --- the pair rules ----------------------------------------------------------
 
 
 def derive_pair_inequalities(state: ReductionState, i: int, h: int) -> list[RuleVerdict]:
@@ -177,119 +249,38 @@ def derive_pair_inequalities(state: ReductionState, i: int, h: int) -> list[Rule
     d = state.adj[a].get(b)
     if d is None:
         return []
-    c, dm, dp = state.c, state.d_minus, state.d_plus
-    out: list[RuleVerdict] = []
-    if d > 0:
-        v = c[a] + d + dm[a]
-        if v >= 0:
-            out.append(RuleVerdict(R1_1, Inequality(InequalityKind.H_LE_I, a, b), v > 0))
-        v = c[b] + d + dm[b]
-        if v >= 0:
-            out.append(RuleVerdict(R1_1p, Inequality(InequalityKind.I_LE_H, a, b), v > 0))
-        v = c[a] - d + dp[a]
-        if v <= 0:
-            out.append(RuleVerdict(R2_2, Inequality(InequalityKind.I_LE_H, a, b), v < 0))
-        v = c[b] - d + dp[b]
-        if v <= 0:
-            out.append(RuleVerdict(R2_2p, Inequality(InequalityKind.H_LE_I, a, b), v < 0))
-    else:
-        v = c[a] + d + dp[a]
-        if v <= 0:
-            out.append(RuleVerdict(R2_1, Inequality(InequalityKind.AT_MOST_ONE, a, b), v < 0))
-        v = c[b] + d + dp[b]
-        if v <= 0:
-            out.append(RuleVerdict(R2_1p, Inequality(InequalityKind.AT_MOST_ONE, a, b), v < 0))
-        v = c[a] - d + dm[a]
-        if v >= 0:
-            out.append(RuleVerdict(R1_2, Inequality(InequalityKind.AT_LEAST_ONE, a, b), v > 0))
-        v = c[b] - d + dm[b]
-        if v >= 0:
-            out.append(RuleVerdict(R1_2p, Inequality(InequalityKind.AT_LEAST_ONE, a, b), v > 0))
-    return out
-
-
-# --- combined substitution rules -----------------------------------------
+    slack = (*slacks(state, a), *slacks(state, b))
+    return [v for rule in _MINING[d > 0] if (v := rule.judge(abs(d), a, b, *slack))]
 
 
 def rule_complement_pair(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """x_i + x_h = 1 when the pair admits both >= 1 and <= 1 on a negative edge."""
-    d = state.adj[i].get(h)
-    if d is None or d >= 0:
-        return None
-    c, dm, dp = state.c, state.d_minus, state.d_plus
-    a1 = c[i] - d + dm[i]
-    a2 = c[h] - d + dm[h]
-    b1 = c[i] + d + dp[i]
-    b2 = c[h] + d + dp[h]
-    lower = a1 >= 0 or a2 >= 0
-    upper = b1 <= 0 or b2 <= 0
-    if lower and upper:
-        unique = (a1 > 0 or a2 > 0) and (b1 < 0 or b2 < 0)
-        return RuleVerdict(R2_5, SubstituteComplement(i, h), unique)
-    return None
+    """Rule 2.5: x_i + x_h = 1 when the pair admits both >= 1 and <= 1 on a negative edge."""
+    return _probe(PAIR_RULES_BY_ID[R2_5], state, i, h)
 
 
 def rule_equal_pair(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """x_i = x_h when the pair admits both <= and >= directions on a positive edge."""
-    d = state.adj[i].get(h)
-    if d is None or d <= 0:
-        return None
-    c, dm, dp = state.c, state.d_minus, state.d_plus
-    c1 = c[i] - d + dp[i]
-    c2 = c[h] + d + dm[h]
-    d1 = c[i] + d + dm[i]
-    d2 = c[h] - d + dp[h]
-    forward = c1 <= 0 or c2 >= 0
-    backward = d1 >= 0 or d2 <= 0
-    if forward and backward:
-        unique = (c1 < 0 or c2 > 0) and (d1 > 0 or d2 < 0)
-        return RuleVerdict(R2_6, SubstituteEqual(i, h), unique)
-    return None
-
-
-# --- pair-assignment rules -------------------------------------------------
+    """Rule 2.6: x_i = x_h when the pair admits both <= and >= directions on a positive edge."""
+    return _probe(PAIR_RULES_BY_ID[R2_6], state, i, h)
 
 
 def rule_pair_zero(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """x_i = x_h = 0 when their joint contribution cannot be positive."""
-    d = state.adj[i].get(h)
-    if d is None or d < 0:
-        return None
-    c, dp = state.c, state.d_plus
-    v = c[i] + c[h] - d + dp[i] + dp[h]
-    if v <= 0:
-        return RuleVerdict(R3_1, PairFix(i, 0, h, 0), v < 0)
-    return None
+    """Rule 3.1: x_i = x_h = 0 when their joint contribution cannot be positive."""
+    return _probe(PAIR_RULES_BY_ID[R3_1], state, i, h)
 
 
 def rule_pair_one_zero(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """x_i = 1 and x_h = 0 on a negative edge; the swapped call covers Rule 3.3."""
-    d = state.adj[i].get(h)
-    if d is None or d >= 0:
-        return None
-    c, dm, dp = state.c, state.d_minus, state.d_plus
-    v = -c[i] + c[h] + d - dm[i] + dp[h]
-    if v <= 0:
-        return RuleVerdict(R3_2, PairFix(i, 1, h, 0), v < 0)
-    return None
+    """Rule 3.2: x_i = 1 and x_h = 0 on a negative edge."""
+    return _probe(PAIR_RULES_BY_ID[R3_2], state, i, h)
 
 
 def rule_pair_zero_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
     """Rule 3.3: x_i = 0 and x_h = 1 on a negative edge (Rule 3.2 with the roles swapped)."""
-    v = rule_pair_one_zero(state, h, i)
-    return RuleVerdict(R3_3, v.conclusion, v.unique) if v else None
+    return _probe(PAIR_RULES_BY_ID[R3_3], state, i, h)
 
 
 def rule_pair_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """x_i = x_h = 1 when their joint contribution cannot be negative."""
-    d = state.adj[i].get(h)
-    if d is None or d < 0:
-        return None
-    c, dm = state.c, state.d_minus
-    v = -c[i] - c[h] - d - dm[i] - dm[h]
-    if v <= 0:
-        return RuleVerdict(R3_4, PairFix(i, 1, h, 1), v < 0)
-    return None
+    """Rule 3.4: x_i = x_h = 1 when their joint contribution cannot be negative."""
+    return _probe(PAIR_RULES_BY_ID[R3_4], state, i, h)
 
 
 # --- the whole catalog -------------------------------------------------------
@@ -304,24 +295,24 @@ def catalog_firings(state: ReductionState) -> Iterator[RuleVerdict]:
     """
     free = state.free_variables()
     fixable = set()
+    slack = {}
     for v in free:
         for verdict in (rule_fix_one(state, v), rule_fix_zero(state, v)):
             if verdict:
                 fixable.add(v)
                 yield verdict
+        slack[v] = slacks(state, v)
     for i in free:
         if i in fixable:
             continue
+        ui, wi = slack[i]
         for h, d in state.adj[i].items():
             if h < i or h in fixable:
                 continue
-            if d > 0:
-                found = (rule_pair_zero(state, i, h), rule_pair_one(state, i, h),
-                         rule_equal_pair(state, i, h))
-            else:
-                found = (rule_pair_one_zero(state, i, h), rule_pair_zero_one(state, i, h),
-                         rule_complement_pair(state, i, h))
-            for verdict in found:
+            uh, wh = slack[h]
+            size = abs(d)
+            for rule in _REDUCING[d > 0]:
+                verdict = rule.judge(size, i, h, ui, wi, uh, wh)
                 if verdict:
                     yield verdict
 
@@ -329,75 +320,20 @@ def catalog_firings(state: ReductionState) -> Iterator[RuleVerdict]:
 # --- penalty weights -------------------------------------------------------
 
 
-def _bound(value: int) -> int:
-    return value if value > 0 else 0
-
-
 def m_lower_bound(state: ReductionState, verdict: RuleVerdict) -> int:
     """Lower bound on the penalty weight M for a mined or pair verdict.
 
     Any M strictly above the bound makes the corresponding penalty rewrite
-    force the verdict's relation onto the optima.  Fix verdicts take no M.
+    force the verdict's relation onto the optima.  The verdict must fire on
+    the state; fix verdicts take no M.
     """
-    c, dm, dp = state.c, state.d_minus, state.d_plus
     concl = verdict.conclusion
-    rid = verdict.rule_id
-    if isinstance(concl, Fix):
-        raise ValueError("single-variable fixes have no penalty form")
-    if isinstance(concl, Inequality):
-        i, h = concl.i, concl.h
-        if rid == R2_1:
-            return _bound(c[i] + dp[i])
-        if rid == R2_1p:
-            return _bound(c[h] + dp[h])
-        if rid == R1_1:
-            return _bound(-(c[i] + dm[i]))
-        if rid == R2_2p:
-            return _bound(c[h] + dp[h])
-        if rid == R1_1p:
-            return _bound(-(c[h] + dm[h]))
-        if rid == R2_2:
-            return _bound(c[i] + dp[i])
-        if rid == R1_2:
-            return _bound(-(c[i] + dm[i]))
-        if rid == R1_2p:
-            return _bound(-(c[h] + dm[h]))
-        raise ValueError(f"unexpected inequality rule {rid}")
-    if isinstance(concl, PairFix):
-        if rid == R3_1:
-            return _bound(c[concl.i] + c[concl.h] + dp[concl.i] + dp[concl.h])
-        if rid in (R3_2, R3_3):
-            a = concl.i if concl.vi == 1 else concl.h  # the variable fixed to 1
-            b = concl.h if concl.vi == 1 else concl.i
-            return _bound(-c[a] + c[b] - dm[a] + dp[b])
-        if rid == R3_4:
-            return _bound(-c[concl.i] - c[concl.h] - dm[concl.i] - dm[concl.h])
-        raise ValueError(f"unexpected pair rule {rid}")
-    # Substitutions combine one satisfied condition from each side; take the
-    # cheapest satisfied bound per side and require M above both.
-    i, h = concl.i, concl.h
-    d = state.adj[i].get(h, 0)
-    if isinstance(concl, SubstituteComplement):
-        lower = [b for cond, b in (
-            (c[i] - d + dm[i] >= 0, _bound(-(c[i] + dm[i]))),
-            (c[h] - d + dm[h] >= 0, _bound(-(c[h] + dm[h]))),
-        ) if cond]
-        upper = [b for cond, b in (
-            (c[i] + d + dp[i] <= 0, _bound(c[i] + dp[i])),
-            (c[h] + d + dp[h] <= 0, _bound(c[h] + dp[h])),
-        ) if cond]
-    else:
-        lower = [b for cond, b in (
-            (c[i] - d + dp[i] <= 0, _bound(c[i] + dp[i])),
-            (c[h] + d + dm[h] >= 0, _bound(-(c[h] + dm[h]))),
-        ) if cond]
-        upper = [b for cond, b in (
-            (c[i] + d + dm[i] >= 0, _bound(-(c[i] + dm[i]))),
-            (c[h] - d + dp[h] <= 0, _bound(c[h] + dp[h])),
-        ) if cond]
-    if not lower or not upper:
-        raise ValueError("verdict conditions do not hold on this state")
-    return max(min(lower), min(upper))
+    # Rule 3.3's conclusion names the variable fixed to 1 first, as Rule
+    # 3.2's does, so Rule 3.2's threshold reads it in that order.
+    rule = PAIR_RULES_BY_ID.get(R3_2 if verdict.rule_id == R3_3 else verdict.rule_id)
+    if rule is None:
+        raise ValueError(f"{verdict.rule_id} verdicts have no penalty form")
+    return rule.bound(*slacks(state, concl.i), *slacks(state, concl.h))
 
 
 def penalty_rewrite(
@@ -424,16 +360,9 @@ def penalty_rewrite(
     if not (1 <= i <= instance.n and 1 <= h <= instance.n) or i == h:
         raise ValueError(f"invalid pair ({i}, {h})")
     st = ReductionState(instance)
-    dm_i, dp_i, dm_h, dp_h = st.d_minus[i], st.d_plus[i], st.d_minus[h], st.d_plus[h]
-    c_i, c_h = st.c[i], st.c[h]
-    if kind is InequalityKind.AT_MOST_ONE:
-        bound = min(_bound(c_i + dp_i), _bound(c_h + dp_h))
-    elif kind is InequalityKind.AT_LEAST_ONE:
-        bound = min(_bound(-(c_i + dm_i)), _bound(-(c_h + dm_h)))
-    elif kind is InequalityKind.H_LE_I:
-        bound = min(_bound(-(c_i + dm_i)), _bound(c_h + dp_h))
-    else:
-        bound = min(_bound(-(c_h + dm_h)), _bound(c_i + dp_i))
+    slack = (*slacks(st, i), *slacks(st, h))
+    relation = Inequality(kind, i, h)
+    bound = min(r.bound(*slack) for r in PAIR_RULES if r.conclude(i, h) == relation)
     if M <= bound:
         raise ValueError(f"penalty weight {M} does not exceed the bound {bound}")
     linear = dict(instance.linear)

@@ -227,6 +227,18 @@ class TestReduceVerify:
         assert run(["verify", src, plain, dense_log]) == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_verify_rejects_unresolvable_identity(self, tmp_path, capsys):
+        # variable 2 is said to equal variable 9, which the log never resolves
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 2\nl 1 1\n")
+        red.write_text("p qubo 2\nl 1 1\n")
+        log.write_text(json.dumps({"format": "quboreduce-log/1", "survivors": [1],
+                                   "assignments": [], "identities": [[2, "same", 9]]}))
+        assert run(["verify", src, red, log]) == 2
+        assert "error: identity for 2 references unresolved 9" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["bogus/9", None])
     def test_verify_rejects_unknown_log_format(self, tmp_path, capsys, fmt):
         src = tmp_path / "in.qubo"

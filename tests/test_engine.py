@@ -459,6 +459,19 @@ class TestMultiPass:
         assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == digest
         assert verify_fixed_point(init_state(reduced))
 
+    def test_pinned_mined_records(self):
+        # generate --size 2000 --edges 20000 --seed 42 --design-row 1, mined:
+        # pins each record's M bound and the extreme-edge screen at scale
+        spec = GeneratorSpec.from_design(2000, 20000, design_table()[0], seed=42)
+        _, log, _ = run_to_fixed_point(generate_instance(spec), emit_inequalities=True)
+        text = "".join(
+            f"{r.verdict.rule_id} {r.verdict.conclusion.kind.value} {r.verdict.conclusion.i} "
+            f"{r.verdict.conclusion.h} {r.verdict.unique} {r.m_bound} {r.snapshot_id}\n"
+            for r in log.inequality_records
+        )
+        assert len(log.inequality_records) == 4647
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f04b01516c8cf7cd"
+
     def test_pass_drop_counts_are_variables(self):
         _, log, smap = run_to_fixed_point(TRIPLE)
         assert sum(log.pass_drops) == 3 - len(smap.survivors)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from quboreduce import generator
 from quboreduce.generator import (
     DESK_SIZES, STANDARD_SIZES, DesignRow, GeneratorSpec, design_table,
     generate_benchmark_suite, generate_instance,
@@ -132,7 +133,7 @@ class TestGenerateInstance:
 
 class TestBenchmarkSuite:
     def test_desk_suite_cardinality(self):
-        suite = generate_benchmark_suite(list(DESK_SIZES), design_table(), seed=7)
+        suite = list(generate_benchmark_suite(list(DESK_SIZES), design_table(), seed=7))
         assert len(suite) == 32
         labels = {(item.label, item.row_id) for item in suite}
         assert len(labels) == 32
@@ -141,7 +142,22 @@ class TestBenchmarkSuite:
         assert len(STANDARD_SIZES) * len(design_table()) == 96
 
     def test_empty_rows_empty_suite(self):
-        assert generate_benchmark_suite(list(DESK_SIZES), [], seed=1) == []
+        assert list(generate_benchmark_suite(list(DESK_SIZES), [], seed=1)) == []
+
+    def test_any_bad_spec_raises_before_an_instance_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(generator, "generate_instance", built.append)
+        with pytest.raises(ValueError, match="more edges"):
+            generate_benchmark_suite([("100L", 100, 500), ("3X", 3, 10)], design_table())
+        assert built == []
+
+    def test_suite_builds_one_instance_at_a_time(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(generator, "generate_instance", built.append)
+        suite = generate_benchmark_suite(list(DESK_SIZES), design_table(), seed=1)
+        assert built == []
+        item = next(suite)
+        assert built == [item.spec] and (item.label, item.row_id) == (DESK_SIZES[0][0], 1)
 
     def test_suite_instances_differ_across_rows(self):
         suite = generate_benchmark_suite([("100L", 100, 500)], design_table(), seed=3)

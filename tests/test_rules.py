@@ -31,16 +31,16 @@ def state_of(*triplets, n=None):
     return init_state(build_from_triplets(n, list(triplets)))
 
 
-class TestValueBounds:
-    def test_bounds_order_and_values(self):
+class TestSlacks:
+    def test_slacks_bound_the_contribution(self):
         rng = random.Random(1)
         for _ in range(100):
             st = init_state(random_instance(rng, rng.randint(1, 8)))
             for i in range(1, st.n + 1):
-                lo, hi = rules.value_bounds(st, i)
-                assert lo <= hi
-                assert lo == st.c[i] + st.d_minus[i]
-                assert hi == st.c[i] + st.d_plus[i]
+                u, w = rules.slacks(st, i)
+                assert -w <= u
+                assert -w == st.c[i] + st.d_minus[i]
+                assert u == st.c[i] + st.d_plus[i]
 
 
 class TestSingleVariableRules:
@@ -277,10 +277,10 @@ _REGIMES = (
 )
 
 
-PAIR_RULES = (
-    rule_pair_zero, rule_pair_one, rule_pair_one_zero, rule_pair_zero_one,
-    rule_complement_pair, rule_equal_pair,
-)
+PREDICATES = {
+    "R3_1": rule_pair_zero, "R3_4": rule_pair_one, "R2_6": rule_equal_pair,
+    "R3_2": rule_pair_one_zero, "R3_3": rule_pair_zero_one, "R2_5": rule_complement_pair,
+}
 
 
 def screen_rejects_a_firing_edge(st) -> str | None:
@@ -292,7 +292,7 @@ def screen_rejects_a_firing_edge(st) -> str | None:
     for i in st.free_variables():
         for h in st.adj[i]:
             verdicts = derive_pair_inequalities(st, i, h)
-            verdicts += [v for rule in PAIR_RULES if (v := rule(st, i, h))]
+            verdicts += [v for rule in PREDICATES.values() if (v := rule(st, i, h))]
             if verdicts and not rules.pair_may_fire(st, i, h):
                 return f"{verdicts[0]} at events={st.events}"
     return None
@@ -333,6 +333,157 @@ class TestSlackScreen:
             _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
             for st in replay(inst, log.events):
                 assert screen_rejects_a_firing_edge(st) is None
+
+
+# The paper's closed forms, written out independently of rules.PAIR_RULES.
+# Soundness checks cannot catch a threshold that is too strict (the rule then
+# fires less often but stays sound), so the table is compared with these.
+
+
+def _two_sided(lower, upper):
+    """(fires, unique, M bound) of a substitution: one condition from each side.
+
+    Each side lists (value, holds when value >= 0?, bound of that condition).
+    """
+    def met(v, ge):
+        return v >= 0 if ge else v <= 0
+
+    def strict(v, ge):
+        return v > 0 if ge else v < 0
+
+    fires = any(met(v, ge) for v, ge, _ in lower) and any(met(v, ge) for v, ge, _ in upper)
+    unique = (any(strict(v, ge) for v, ge, _ in lower)
+              and any(strict(v, ge) for v, ge, _ in upper))
+    bound = None
+    if fires:
+        bound = max(min(b for v, ge, b in lower if met(v, ge)),
+                    min(b for v, ge, b in upper if met(v, ge)))
+    return fires, unique, bound
+
+
+def paper_pair_rules(st, i, h):
+    """{rule id: (fires, unique, M bound)} for the reduction rules on (i, h)."""
+    c, dm, dp = st.c, st.d_minus, st.d_plus
+    d = st.adj[i][h]
+    if d > 0:
+        r31 = c[i] + c[h] - d + dp[i] + dp[h]
+        r34 = -c[i] - c[h] - d - dm[i] - dm[h]
+        return {
+            "R3_1": (r31 <= 0, r31 < 0, max(0, c[i] + c[h] + dp[i] + dp[h])),
+            "R3_4": (r34 <= 0, r34 < 0, max(0, -c[i] - c[h] - dm[i] - dm[h])),
+            "R2_6": _two_sided(
+                [(c[i] - d + dp[i], False, max(0, c[i] + dp[i])),
+                 (c[h] + d + dm[h], True, max(0, -(c[h] + dm[h])))],
+                [(c[i] + d + dm[i], True, max(0, -(c[i] + dm[i]))),
+                 (c[h] - d + dp[h], False, max(0, c[h] + dp[h]))],
+            ),
+        }
+    r32 = -c[i] + c[h] + d - dm[i] + dp[h]
+    r33 = c[i] - c[h] + d + dp[i] - dm[h]
+    return {
+        "R3_2": (r32 <= 0, r32 < 0, max(0, -c[i] + c[h] - dm[i] + dp[h])),
+        "R3_3": (r33 <= 0, r33 < 0, max(0, c[i] - c[h] + dp[i] - dm[h])),
+        "R2_5": _two_sided(
+            [(c[i] - d + dm[i], True, max(0, -(c[i] + dm[i]))),
+             (c[h] - d + dm[h], True, max(0, -(c[h] + dm[h])))],
+            [(c[i] + d + dp[i], False, max(0, c[i] + dp[i])),
+             (c[h] + d + dp[h], False, max(0, c[h] + dp[h]))],
+        ),
+    }
+
+
+def paper_inequalities(st, i, h):
+    """{rule id: (unique, M bound)} of the inequality rules that fire on (i, h), i < h."""
+    c, dm, dp = st.c, st.d_minus, st.d_plus
+    d = st.adj[i][h]
+    if d > 0:
+        forms = {  # value, fires when value >= 0?, M bound
+            "R1_1": (c[i] + d + dm[i], True, -(c[i] + dm[i])),
+            "R1_1p": (c[h] + d + dm[h], True, -(c[h] + dm[h])),
+            "R2_2": (c[i] - d + dp[i], False, c[i] + dp[i]),
+            "R2_2p": (c[h] - d + dp[h], False, c[h] + dp[h]),
+        }
+    else:
+        forms = {
+            "R2_1": (c[i] + d + dp[i], False, c[i] + dp[i]),
+            "R2_1p": (c[h] + d + dp[h], False, c[h] + dp[h]),
+            "R1_2": (c[i] - d + dm[i], True, -(c[i] + dm[i])),
+            "R1_2p": (c[h] - d + dm[h], True, -(c[h] + dm[h])),
+        }
+    return {
+        rid: (v > 0 if ge else v < 0, max(0, b))
+        for rid, (v, ge, b) in forms.items() if (v >= 0 if ge else v <= 0)
+    }
+
+
+def table_disagrees_with_paper(st) -> str | None:
+    """An ordered pair of free neighbours where a table row and its closed form differ."""
+    for i in st.free_variables():
+        for h in st.adj[i]:
+            want = paper_pair_rules(st, i, h)
+            for rid, predicate in PREDICATES.items():
+                v = predicate(st, i, h)
+                if rid not in want:
+                    if v is not None:
+                        return f"{rid} fired on an edge of the wrong sign: ({i}, {h})"
+                    continue
+                fires, unique, bound = want[rid]
+                got = (v is not None, v.unique, m_lower_bound(st, v)) if v else (False,)
+                if got != ((fires, unique, bound) if fires else (False,)):
+                    return f"{rid} on ({i}, {h}) at events={st.events}: {got} != {want[rid]}"
+            if i < h:
+                got = {v.rule_id: (v.unique, m_lower_bound(st, v))
+                       for v in derive_pair_inequalities(st, i, h)}
+                if got != paper_inequalities(st, i, h):
+                    return f"inequalities on ({i}, {h}) at events={st.events}: {got}"
+    return None
+
+
+class TestTableMatchesPaper:
+    def test_thresholds_as_listed(self):
+        # positive edge: R3_1 u_i+u_h, R3_4 w_i+w_h, R2_6 max(min(u_i,w_h), min(w_i,u_h)),
+        # R1_1 w_i, R1_1p w_h, R2_2 u_i, R2_2p u_h; negative edge: R3_2 w_i+u_h,
+        # R3_3 u_i+w_h, R2_5 max(min(w_i,w_h), min(u_i,u_h)), R2_1 u_i, R2_1p u_h,
+        # R1_2 w_i, R1_2p w_h
+        listed = {
+            "R3_1": (+1, lambda ui, wi, uh, wh: ui + uh),
+            "R3_4": (+1, lambda ui, wi, uh, wh: wi + wh),
+            "R2_6": (+1, lambda ui, wi, uh, wh: max(min(ui, wh), min(wi, uh))),
+            "R1_1": (+1, lambda ui, wi, uh, wh: wi),
+            "R1_1p": (+1, lambda ui, wi, uh, wh: wh),
+            "R2_2": (+1, lambda ui, wi, uh, wh: ui),
+            "R2_2p": (+1, lambda ui, wi, uh, wh: uh),
+            "R3_2": (-1, lambda ui, wi, uh, wh: wi + uh),
+            "R3_3": (-1, lambda ui, wi, uh, wh: ui + wh),
+            "R2_5": (-1, lambda ui, wi, uh, wh: max(min(wi, wh), min(ui, uh))),
+            "R2_1": (-1, lambda ui, wi, uh, wh: ui),
+            "R2_1p": (-1, lambda ui, wi, uh, wh: uh),
+            "R1_2": (-1, lambda ui, wi, uh, wh: wi),
+            "R1_2p": (-1, lambda ui, wi, uh, wh: wh),
+        }
+        assert [r.rule_id for r in rules.PAIR_RULES] == list(listed)
+        rng = random.Random(11)
+        for _ in range(2000):
+            slack = [rng.randint(-20, 20) for _ in range(4)]
+            for rule in rules.PAIR_RULES:
+                sign, threshold = listed[rule.rule_id]
+                assert rule.sign == sign
+                assert rule.threshold(*slack) == threshold(*slack), (rule.rule_id, slack)
+
+    def test_on_the_sweep_states(self):
+        for t in range(1000):
+            inst = sweep_instance(t)
+            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            for st in replay(inst, log.events):
+                assert table_disagrees_with_paper(st) is None, f"instance {t}"
+
+    def test_on_tie_heavy_states(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            inst = random_instance(rng, rng.randint(2, 12), coef=2)
+            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            for st in replay(inst, log.events):
+                assert table_disagrees_with_paper(st) is None
 
 
 class TestPerRuleSoundness:
