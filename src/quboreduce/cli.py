@@ -1,6 +1,12 @@
 """Command-line interface: generate | reduce | verify | solve | report.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+``main`` alone turns bad input into exit 2: any ``OSError`` or ``ValueError``
+a command raises is printed as ``error: <message>``.  Nothing else is caught,
+so the engine's invariant failures still raise.  ``reduce`` refuses ``-o``
+and ``--log`` naming one file; ``solve`` refuses ``--preprocess`` with
+``--all-optima``, as the remnant's optima do not lift to all original optima.
+
 Reduced instances are written with their original variable indices unless
 --renumber is given, in which case the file is densely renumbered and the
 log document carries the id translation table.
@@ -17,9 +23,7 @@ import time
 from dataclasses import dataclass
 
 from . import engine, generator, oracle, rules
-from .model import (
-    QuboFormatError, QuboInstance, read_instance, write_instance,
-)
+from .model import QuboInstance, read_instance, write_instance
 from .state import COMPLEMENT_OF, SAME_AS
 
 _IDENTITY_NAMES = {SAME_AS: "same", COMPLEMENT_OF: "complement"}
@@ -128,20 +132,22 @@ def log_document(
     return doc
 
 
-# What reading a field of a log document that lacks it, or holds the wrong
-# type, raises.
-_MALFORMED_LOG = (KeyError, TypeError, ValueError)
+def read_log(path, parse):
+    """Load the log document at ``path`` and return ``parse(doc)``.
 
-
-def _malformed_log(exc: Exception) -> int:
-    print(f"error: malformed log document: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 2
-
-
-def _unsupported_format(log_format) -> int:
-    print(f"error: unsupported log format {log_format!r} (expected {LOG_FORMAT})",
-          file=sys.stderr)
-    return 2
+    Raises ValueError for a document that is not a ``LOG_FORMAT`` object or
+    whose fields ``parse`` cannot read.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "format" not in doc:
+        raise ValueError("malformed log document: not an object with a format field")
+    if doc["format"] != LOG_FORMAT:
+        raise ValueError(f"unsupported log format {doc['format']!r} (expected {LOG_FORMAT})")
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed log document: {type(exc).__name__}: {exc}") from exc
 
 
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
@@ -157,25 +163,28 @@ def solution_map_from_document(doc: dict) -> engine.SolutionMap:
 
 def report_from_document(doc: dict) -> RunReport:
     return RunReport(
-        n=doc["original_n"],
+        n=int(doc["original_n"]),
         survivors=len(doc["survivors"]),
-        passes=doc["passes"],
-        pass_drops=list(doc["pass_drops"]),
-        per_rule_counts=dict(doc["per_rule_counts"]),
+        passes=int(doc["passes"]),
+        pass_drops=[int(d) for d in doc["pass_drops"]],
+        per_rule_counts={r: int(c) for r, c in dict(doc["per_rule_counts"]).items()},
         inequality_count=len(doc["inequalities"]),
-        offset=doc["offset"],
-        wall_time_s=doc["wall_time_s"],
+        offset=int(doc["offset"]),
+        wall_time_s=float(doc["wall_time_s"]),
     )
 
 
 def to_dense_ids(reduced: QuboInstance, survivors: list[int]) -> QuboInstance:
     """Renumber an original-indexed reduced instance densely over the survivors.
 
-    Raises KeyError for a variable that is not a survivor.
+    Raises ValueError for a variable that is not a survivor.
     """
     index = {orig: k for k, orig in enumerate(survivors, start=1)}
-    linear = {index[i]: v for i, v in reduced.linear.items()}
-    quadratic = {(index[i], index[j]): v for (i, j), v in reduced.quadratic.items()}
+    try:
+        linear = {index[i]: v for i, v in reduced.linear.items()}
+        quadratic = {(index[i], index[j]): v for (i, j), v in reduced.quadratic.items()}
+    except KeyError as exc:
+        raise ValueError(f"reduced variable {exc.args[0]} is not a survivor") from None
     return QuboInstance(len(survivors), linear, quadratic, reduced.offset)
 
 
@@ -197,95 +206,68 @@ def cmd_generate(args) -> int:
     rows = generator.design_table()
     if args.suite:
         base = generator.DESK_SIZES if args.suite == "desk" else generator.STANDARD_SIZES
-        out_dir = args.output
-        try:
-            # A bad spec raises here, before the directory is made.
-            suite = generator.generate_benchmark_suite(
-                list(base), rows, seed=args.seed, hub_fraction=args.hub_fraction
-            )
-            os.makedirs(out_dir, exist_ok=True)
-            for item in suite:
-                path = os.path.join(out_dir, f"{item.label}_row{item.row_id:02d}.qubo")
-                write_instance(item.instance, path, header=_spec_header(item.spec))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {len(base) * len(rows)} instances to {out_dir}")
+        # A bad spec raises here, before the directory is made.
+        suite = generator.generate_benchmark_suite(
+            list(base), rows, seed=args.seed, hub_fraction=args.hub_fraction
+        )
+        os.makedirs(args.output, exist_ok=True)
+        for item in suite:
+            path = os.path.join(args.output, f"{item.label}_row{item.row_id:02d}.qubo")
+            write_instance(item.instance, path, header=_spec_header(item.spec))
+        print(f"wrote {len(base) * len(rows)} instances to {args.output}")
         return 0
     if not 1 <= args.design_row <= len(rows):
-        print(f"error: design row must be in 1..{len(rows)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"design row must be in 1..{len(rows)}")
     spec = generator.GeneratorSpec.from_design(
         args.size, args.edges, rows[args.design_row - 1],
         seed=args.seed, hub_fraction=args.hub_fraction,
     )
-    try:
-        instance = generator.generate_instance(spec)
-        write_instance(instance, args.output, header=_spec_header(spec))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instance = generator.generate_instance(spec)
+    write_instance(instance, args.output, header=_spec_header(spec))
     print(f"wrote {args.output}: n={instance.n} edges={instance.num_edges}")
     return 0
 
 
 def cmd_reduce(args) -> int:
-    try:
-        original = read_instance(args.instance)
-    except (OSError, QuboFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with contextlib.ExitStack() as files:
-            # Opened before reducing, so a bad output path fails at once.
-            out_fh, log_fh = (
-                files.enter_context(open(path, "w", encoding="utf-8")) if path else None
-                for path in (args.output, args.log)
-            )
-            start = time.perf_counter()
-            reduced, log, solution_map = engine.run_to_fixed_point(
-                original, args.emit_inequalities
-            )
-            elapsed = time.perf_counter() - start
-            doc = log_document(original, reduced, log, solution_map, elapsed,
-                               renumber=args.renumber)
-            if out_fh and args.renumber:
-                write_instance(reduced, out_fh)
-            elif out_fh:
-                write_instance(reduced, out_fh, ids=solution_map.survivors, n=original.n)
-            if log_fh:
-                json.dump(doc, log_fh, indent=1)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    paths = (args.output, args.log)
+    if all(paths) and os.path.realpath(args.output) == os.path.realpath(args.log):
+        raise ValueError(f"-o and --log name the same file {args.output!r}")
+    original = read_instance(args.instance)
+    with contextlib.ExitStack() as files:
+        # Opened before reducing, so a bad output path fails at once.
+        out_fh, log_fh = (
+            files.enter_context(open(path, "w", encoding="utf-8")) if path else None
+            for path in paths
+        )
+        start = time.perf_counter()
+        reduced, log, solution_map = engine.run_to_fixed_point(
+            original, args.emit_inequalities
+        )
+        elapsed = time.perf_counter() - start
+        doc = log_document(original, reduced, log, solution_map, elapsed,
+                           renumber=args.renumber)
+        if out_fh and args.renumber:
+            write_instance(reduced, out_fh)
+        elif out_fh:
+            write_instance(reduced, out_fh, ids=solution_map.survivors, n=original.n)
+        if log_fh:
+            json.dump(doc, log_fh, indent=1)
     print(report_from_document(doc).table())
     return 0
 
 
 def cmd_verify(args) -> int:
+    original = read_instance(args.instance)
+    reduced = read_instance(args.reduced)
+    solution_map, renumbered = read_log(
+        args.log, lambda doc: (solution_map_from_document(doc), "renumber" in doc)
+    )
+    dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
     try:
-        original = read_instance(args.instance)
-        reduced = read_instance(args.reduced)
-        with open(args.log, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, QuboFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        log_format = doc["format"]
-        solution_map = solution_map_from_document(doc)
-        renumbered = "renumber" in doc
-    except _MALFORMED_LOG as exc:
-        return _malformed_log(exc)
-    if log_format != LOG_FORMAT:
-        return _unsupported_format(log_format)
-    try:
-        dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
         report = oracle.check_equivalence(original, dense, solution_map,
                                           n_limit=args.limit)
-    except (KeyError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RuntimeError as exc:  # the log's map references an unresolved variable
+        raise ValueError(exc) from None
     if report.ok:
         print(f"equivalence verified: optimum {report.optimum_original}")
         return 0
@@ -299,56 +281,34 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance = read_instance(args.instance)
-    except (OSError, QuboFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.preprocess:
-            reduced, _, solution_map = engine.run_to_fixed_point(instance)
-            result = oracle.brute_force_solve(reduced, n_limit=args.limit)
-            survivors = solution_map.survivors
-            best = result.optima[0]
-            full = engine.reconstruct_solution(
-                solution_map, {survivors[k]: best[k] for k in range(len(survivors))}
-            )
-            print(f"optimum {result.optimum}")
-            print("assignment " + " ".join(str(full[i]) for i in sorted(full)))
-            print(f"remnant size {reduced.n}")
-        else:
-            result = oracle.brute_force_solve(instance, n_limit=args.limit)
-            print(f"optimum {result.optimum}")
-            if instance.n:
-                if args.all_optima:
-                    for bits in result.optima:
-                        print("assignment " + " ".join(str(b) for b in bits))
-                    if result.truncated:
-                        print("(optima list truncated)")
-                else:
-                    bits = result.optima[0]
-                    print("assignment " + " ".join(str(b) for b in bits))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.preprocess and args.all_optima:
+        raise ValueError("--all-optima cannot be combined with --preprocess: "
+                         "the remnant's optima do not lift to all optima")
+    instance = read_instance(args.instance)
+    if args.preprocess:
+        reduced, _, solution_map = engine.run_to_fixed_point(instance)
+        result = oracle.brute_force_solve(reduced, n_limit=args.limit)
+        survivors = solution_map.survivors
+        best = result.optima[0]
+        full = engine.reconstruct_solution(
+            solution_map, {survivors[k]: best[k] for k in range(len(survivors))}
+        )
+        print(f"optimum {result.optimum}")
+        print("assignment " + " ".join(str(full[i]) for i in sorted(full)))
+        print(f"remnant size {reduced.n}")
+        return 0
+    result = oracle.brute_force_solve(instance, n_limit=args.limit)
+    print(f"optimum {result.optimum}")
+    if instance.n:
+        for bits in result.optima if args.all_optima else result.optima[:1]:
+            print("assignment " + " ".join(str(b) for b in bits))
+        if args.all_optima and result.truncated:
+            print("(optima list truncated)")
     return 0
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        log_format = doc["format"]
-        report = report_from_document(doc)
-    except _MALFORMED_LOG as exc:
-        return _malformed_log(exc)
-    if log_format != LOG_FORMAT:
-        return _unsupported_format(log_format)
-    print(report.table())
+    print(read_log(args.log, report_from_document).table())
     return 0
 
 
@@ -403,9 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -69,6 +69,14 @@ class QuboInstance:
             if v == 0:
                 raise ValueError(f"zero quadratic coefficient stored at ({i}, {j})")
 
+    @classmethod
+    def without_zeros(cls, n: int, linear: Mapping[int, int],
+                      quadratic: Mapping[tuple[int, int], int],
+                      offset: int = 0) -> QuboInstance:
+        """The instance of coefficient maps that may hold zeros; the zeros are dropped."""
+        return cls(n, {i: v for i, v in linear.items() if v != 0},
+                   {k: v for k, v in quadratic.items() if v != 0}, offset)
+
     @property
     def num_edges(self) -> int:
         return len(self.quadratic)
@@ -118,12 +126,7 @@ def build_from_triplets(n: int, entries: Iterable[tuple[int, int, int]]) -> Qubo
         else:
             key = canonical_pair(i, j)
             quadratic[key] = quadratic.get(key, 0) + v
-    return QuboInstance(
-        n,
-        {i: v for i, v in linear.items() if v != 0},
-        {k: v for k, v in quadratic.items() if v != 0},
-        0,
-    )
+    return QuboInstance.without_zeros(n, linear, quadratic)
 
 
 def evaluate(instance: QuboInstance, x: Mapping[int, int] | Sequence[int]) -> int:
@@ -179,12 +182,7 @@ def ising_to_qubo(
         linear[i] = linear.get(i, 0) - 2 * jij
         linear[j] = linear.get(j, 0) - 2 * jij
         offset += jij
-    return QuboInstance(
-        n,
-        {i: v for i, v in linear.items() if v != 0},
-        {k: v for k, v in quadratic.items() if v != 0},
-        offset,
-    )
+    return QuboInstance.without_zeros(n, linear, quadratic, offset)
 
 
 # --- text format -------------------------------------------------------------
@@ -269,12 +267,7 @@ def _read_lines(data: bytes) -> QuboInstance:
     except UnicodeDecodeError as exc:
         raise QuboFormatError(f"file is not UTF-8 text: {exc}") from exc
     n, offset, linear, quadratic = _parse_lines(io.StringIO(text, newline=None))
-    return QuboInstance(
-        n,
-        {i: v for i, v in linear.items() if v != 0},
-        {k: v for k, v in quadratic.items() if v != 0},
-        offset,
-    )
+    return QuboInstance.without_zeros(n, linear, quadratic, offset)
 
 
 def _parse_lines(lines: Iterable[str]):

@@ -380,9 +380,4 @@ def penalty_rewrite(
         dominated = h if kind is InequalityKind.H_LE_I else i
         linear[dominated] = linear.get(dominated, 0) - M
         quadratic[key] = quadratic.get(key, 0) + M
-    return QuboInstance(
-        instance.n,
-        {k: v for k, v in linear.items() if v != 0},
-        {k: v for k, v in quadratic.items() if v != 0},
-        offset,
-    )
+    return QuboInstance.without_zeros(instance.n, linear, quadratic, offset)

@@ -139,6 +139,19 @@ class TestReduceVerify:
         run(["reduce", src, "-o", red, "--log", log])
         assert run(["verify", src, red, log]) == 2
 
+    @pytest.mark.parametrize("log_name", ["out.qubo", "sub/../out.qubo"])
+    def test_output_and_log_on_one_file_is_input_error(self, tmp_path, capsys, log_name):
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "out.qubo"
+        out.write_text("old instance")
+        assert run(["reduce", src, "-o", out, "--log", tmp_path / log_name]) == 2
+        captured = capsys.readouterr()
+        assert "error: -o and --log name the same file" in captured.err
+        assert captured.out == ""
+        assert out.read_text() == "old instance"
+
     @pytest.mark.parametrize("flag", ["-o", "--log"])
     def test_unwritable_output_is_input_error(self, tmp_path, capsys, flag):
         src = tmp_path / "in.qubo"
@@ -157,6 +170,16 @@ class TestReduceVerify:
         src.write_text("p qubo 2\nl 1 1\n")
         assert run(["reduce", src, flag, tmp_path / "missing" / "out"]) == 2
         assert "error: " in capsys.readouterr().err
+
+    def test_engine_failure_is_not_input_error(self, tmp_path, monkeypatch):
+        def engine_bug(*args, **kwargs):
+            raise RuntimeError("variable 1 is not free (engine bug)")
+
+        monkeypatch.setattr(engine, "run_to_fixed_point", engine_bug)
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 2\nl 1 1\n")
+        with pytest.raises(RuntimeError, match="engine bug"):
+            run(["reduce", src])
 
     def test_unparsable_input_leaves_outputs_untouched(self, tmp_path):
         bad = tmp_path / "bad.qubo"
@@ -224,6 +247,7 @@ class TestReduceVerify:
         assert run(["verify", src, dense, dense_log]) == 0
         capsys.readouterr()
         assert run(["verify", src, dense, plain_log]) == 2
+        assert "error: reduced variable 1 is not a survivor" in capsys.readouterr().err
         assert run(["verify", src, plain, dense_log]) == 2
         assert "error: " in capsys.readouterr().err
 
@@ -298,6 +322,14 @@ class TestSolve:
         assert run(["solve", src]) == 0
         assert "optimum 7" in capsys.readouterr().out
 
+    def test_all_optima_with_preprocess_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "ao.qubo"
+        src.write_text("p qubo 2\nl 1 3\nl 2 -2\nq 1 2 2\n")
+        assert run(["solve", src, "--preprocess", "--all-optima"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --all-optima cannot be combined with --preprocess" in captured.err
+        assert captured.out == ""
+
     def test_all_optima_listing(self, tmp_path, capsys):
         src = tmp_path / "ao.qubo"
         src.write_text("p qubo 2\nl 1 3\nl 2 -2\nq 1 2 2\n")
@@ -306,7 +338,22 @@ class TestSolve:
         assert "assignment 1 0" in out and "assignment 1 1" in out
 
 
+def _log_text(**fields):
+    """A log document that report renders, with some fields replaced."""
+    doc = {"format": "quboreduce-log/1", "original_n": 3, "survivors": [2],
+           "assignments": [[1, 0], [3, 1]], "identities": [], "offset": 4,
+           "passes": 2, "pass_drops": [2, 0], "per_rule_counts": {"R1_0": 2},
+           "events": [], "inequalities": [], "wall_time_s": 0.5}
+    return json.dumps({**doc, **fields})
+
+
 class TestReport:
+    def test_report_renders_minimal_log(self, tmp_path, capsys):
+        log = tmp_path / "log.json"
+        log.write_text(_log_text())
+        assert run(["report", log]) == 0
+        assert "3 -> 1" in capsys.readouterr().out
+
     def test_report_renders_saved_log(self, tmp_path, capsys):
         src = tmp_path / "in.qubo"
         log = tmp_path / "log.json"
@@ -333,12 +380,21 @@ class TestReport:
         assert "error: unsupported log format" in captured.err
         assert "rule" not in captured.out
 
-    @pytest.mark.parametrize("text", ["{}", "[]"])
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[]",
+        pytest.param(_log_text(wall_time_s="x"), id="wall_time_s=x"),
+        pytest.param(_log_text(original_n=None), id="original_n=null"),
+        pytest.param(_log_text(pass_drops=["a"]), id="pass_drops=[a]"),
+        pytest.param(_log_text(per_rule_counts=[1]), id="per_rule_counts=[1]"),
+    ])
     def test_report_malformed_document(self, tmp_path, capsys, text):
         log = tmp_path / "bad.json"
         log.write_text(text)
         assert run(["report", log]) == 2
-        assert "error: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error: malformed log document" in captured.err
+        assert captured.out == ""
 
     def test_report_non_utf8_log(self, tmp_path, capsys):
         log = tmp_path / "bad.json"
