@@ -139,7 +139,10 @@ def read_log(path, parse):
     whose fields ``parse`` cannot read.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # nesting deeper than the decoder recurses
+            raise ValueError(f"malformed log document: {exc}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise ValueError("malformed log document: not an object with a format field")
     if doc["format"] != LOG_FORMAT:

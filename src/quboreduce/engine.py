@@ -12,6 +12,11 @@ screen the edges, and the general predicates of :mod:`rules` decide each
 one.  One sweep applies every substitution it finds; if it found any, the
 passes resume, and the whole loop repeats until truly nothing fires.
 
+The first pass walks a row's neighbours from the set-up screen while the
+row and its clean neighbours are untouched: the same probes, fewer tests.
+The reduced instance is a sorted edge table built from the set-up arrays
+and the rows of touched survivors.
+
 Every state change is logged as an event; applying the logged conclusions in
 order with :func:`apply_conclusion` to a fresh state rebuilds each
 intermediate state of the run, so the engine keeps no snapshots.
@@ -22,8 +27,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import rules
-from .model import QuboInstance
+from .model import EdgeTable, QuboInstance, int_array
 from .state import FREE, SAME_AS, ReductionState, init_state
 
 @dataclass
@@ -169,6 +176,8 @@ class _Reducer:
         # stamps[v] is touched[v] at v's last exam; row v is dirty, and due
         # for the next pass, while the two differ.
         self.stamps = [-1] * (state.n + 1)
+        # The set-up screen serves the first pass only.
+        self.screen: tuple[list[int], list[int]] | None = state.setup_screen
         # Both orientations of the edges the residual sweep's rules rejected
         # on the state as it was at event count _rejected_at.
         self._rejected: set[tuple[int, int]] = set()
@@ -229,9 +238,15 @@ class _Reducer:
         A neighbour still dirty probes the pair itself later, when both rows
         are current; a row an event changes after its exam goes to the next
         pass.
+
+        In the first pass, a row as at set-up walks its set-up screen, unless
+        a neighbour was examined after a change; else every clean neighbour
+        is untouched, and the screen says what :func:`rules.pair_may_fire` would.
         """
         s = self.s
         adj, status, stamps, touched = s.adj, s.status, self.stamps, s.touched
+        screen, self.screen = self.screen, None
+        spoiled: set[int] = set()  # rows with a changed neighbour examined
         live = s.live_count
         todo = [v for v in s.free_variables() if stamps[v] != touched[v]]
         examined = 0
@@ -244,9 +259,16 @@ class _Reducer:
             if v is not None:
                 self._apply(pass_no, v)
                 continue
+            if screen and not touched[i] and i not in spoiled:
+                starts, screened = screen
+                partners, test = screened[starts[i]:starts[i + 1]], None
+            else:
+                partners, test = adj[i], rules.pair_may_fire
+                if screen and touched[i]:
+                    spoiled.update(adj[i])
             # A hit fixes i and empties adj[i], so the loop must end there.
-            for h in adj[i]:
-                if (stamps[h] == touched[h] and rules.pair_may_fire(s, i, h)
+            for h in partners:
+                if (stamps[h] == touched[h] and (test is None or test(s, i, h))
                         and self._try_pair(pass_no, i, h) is not None):
                     break
         drops = live - s.live_count
@@ -333,15 +355,26 @@ def run_residual_pass(state: ReductionState, log: ReductionLog) -> int:
 
 
 def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
-    index = {v: k + 1 for k, v in enumerate(survivors)}
-    linear = {index[v]: state.c[v] for v in survivors if state.c[v] != 0}
-    quadratic = {}
-    for v in survivors:
-        iv = index[v]
-        for w, d in state.adj[v].items():
-            if v < w:
-                quadratic[(iv, index[w])] = d
-    return QuboInstance(len(survivors), linear, quadratic, state.offset)
+    """The reduced instance over the ascending ``survivors``, renumbered 1..k.
+
+    Edges between untouched rows come from the set-up arrays, the rest from
+    the rows of touched survivors; the edge table is sorted.
+    """
+    lo, hi, d = state.setup_edges
+    touched, untouched = state.touched, np.array(state.touched) == 0
+    keep = untouched[lo] & untouched[hi]
+    # An edge with both rows touched comes from its smaller end.
+    extra = [(v, w, x) if v < w else (w, v, x) for v in survivors if touched[v]
+             for w, x in state.adj[v].items() if v < w or not touched[w]]
+    ea, eb, ed = zip(*extra) if extra else ((), (), ())
+    index = np.zeros(state.n + 1, dtype=np.int64)
+    index[survivors] = np.arange(1, len(survivors) + 1)
+    a = index[np.concatenate((lo[keep], np.array(ea, dtype=np.int64)))]
+    b = index[np.concatenate((hi[keep], np.array(eb, dtype=np.int64)))]
+    order = (a * (len(survivors) + 1) + b).argsort(kind="stable")
+    edges = EdgeTable(a[order], b[order], np.concatenate((d[keep], int_array(list(ed))))[order])
+    linear = {k: state.c[v] for k, v in enumerate(survivors, start=1) if state.c[v] != 0}
+    return QuboInstance(len(survivors), linear, edges, state.offset)
 
 
 def run_to_fixed_point(

@@ -6,19 +6,24 @@ An instance is a maximization problem over binary variables ``x_1 .. x_n``:
 
 Linear coefficients ``c_i`` come from the diagonal of the usual Q-matrix view
 (``x_i^2 = x_i``), and ``d_ij`` is the combined symmetric quadratic weight of
-the unordered pair ``{i, j}``.  Coefficients are exact Python integers and
-entries that are exactly zero are never stored, so sign-based neighbourhood
-sums quantify only over real edges.
+the unordered pair ``{i, j}``.  Coefficients are exact integers and entries
+that are exactly zero are never stored, so sign-based neighbourhood sums
+quantify only over real edges.
+
+``quadratic`` is a ``dict`` or an :class:`EdgeTable` over arrays: the bulk
+parser and the engine produce tables, so a large instance travels from file
+to state and back as arrays (:func:`edge_arrays` gives either kind's).
 """
 
 from __future__ import annotations
 
 import io
 import re
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +37,81 @@ def canonical_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+# Edges converted to Python values, or written, at a time: one join of a
+# 500,000-line q block costs ~30 MB.
+_BLOCK = 1 << 13
+
+
+def int_array(values: list[int]) -> np.ndarray:
+    """The integers as int64, or as exact Python integers if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class EdgeTable(Mapping):
+    """Read-only map ``{(lo[k], hi[k]): d[k]}`` over three arrays, in array order.
+
+    ``lo``, ``hi`` are int64; ``d`` is int64, or object when a value exceeds
+    int64.  Iteration converts a block at a time; the first keyed lookup
+    builds a dict.  A table equals any mapping with the same items.
+    """
+
+    __slots__ = ("lo", "hi", "d", "_index")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, d: np.ndarray):
+        self.lo, self.hi, self.d, self._index = lo, hi, d, None
+
+    def __getitem__(self, key):
+        if self._index is None:
+            self._index = dict(self.items())
+        return self._index[key]
+
+    def __iter__(self):
+        return map(itemgetter(0), self.items())
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def items(self):
+        return _EdgeItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _EdgeItems(ItemsView):
+    def __iter__(self):
+        t = self._mapping
+        for a in range(0, len(t.d), _BLOCK):
+            b = a + _BLOCK
+            yield from zip(zip(t.lo[a:b].tolist(), t.hi[a:b].tolist()), t.d[a:b].tolist())
+
+
+def edge_arrays(quadratic: Mapping[tuple[int, int], int]) -> tuple[np.ndarray, ...]:
+    """The ``(lo, hi, d)`` arrays of a quadratic map, in its iteration order."""
+    if isinstance(quadratic, EdgeTable):
+        return quadratic.lo, quadratic.hi, quadratic.d
+    pairs = np.fromiter(chain.from_iterable(quadratic), np.int64, 2 * len(quadratic))
+    return pairs[0::2], pairs[1::2], int_array(list(quadratic.values()))
+
+
+def _lex_order(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """None if the pairs (lo[k], hi[k]) ascend strictly, else their sorting order.
+
+    Raises ValueError for a repeated pair."""
+    a, b = lo[1:], lo[:-1]
+    if ((a > b) | ((a == b) & (hi[1:] > hi[:-1]))).all():
+        return None
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    same = ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).nonzero()[0]
+    if same.size:
+        raise ValueError(f"pair ({lo[same[0]]}, {hi[same[0]]}) repeats")
+    return order
+
+
 @dataclass(frozen=True)
 class QuboInstance:
     """Immutable sparse maximization QUBO.
@@ -42,7 +122,7 @@ class QuboInstance:
         Number of variables; valid indices are 1..n.
     linear : dict[int, int]
         Nonzero linear coefficients c_i.
-    quadratic : dict[tuple[int, int], int]
+    quadratic : dict[tuple[int, int], int] or EdgeTable
         Nonzero combined quadratic coefficients d_ij keyed by (i, j) with i < j.
     offset : int
         Constant term, included in every objective value.
@@ -50,7 +130,7 @@ class QuboInstance:
 
     n: int
     linear: dict[int, int]
-    quadratic: dict[tuple[int, int], int]
+    quadratic: dict[tuple[int, int], int] | EdgeTable
     offset: int = 0
 
     def __post_init__(self):
@@ -61,7 +141,15 @@ class QuboInstance:
                 raise ValueError(f"linear index {i} outside 1..{self.n}")
             if v == 0:
                 raise ValueError(f"zero linear coefficient stored at {i}")
-        for (i, j), v in self.quadratic.items():
+        items = self.quadratic.items()
+        if isinstance(self.quadratic, EdgeTable):
+            # Checked as arrays: the first bad pair gets its message below.
+            lo, hi, d = edge_arrays(self.quadratic)
+            bad = ((lo < 1) | (hi > self.n) | (lo >= hi) | (d == 0)).nonzero()[0][:1]
+            items = [((int(lo[k]), int(hi[k])), d[k]) for k in bad]
+            if not items:
+                _lex_order(lo, hi)
+        for (i, j), v in items:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"pair ({i}, {j}) outside 1..{self.n}")
             if i >= j:
@@ -80,10 +168,6 @@ class QuboInstance:
     @property
     def num_edges(self) -> int:
         return len(self.quadratic)
-
-    def evaluate(self, x: Mapping[int, int] | Sequence[int]) -> int:
-        """Objective value of a total assignment (see module-level ``evaluate``)."""
-        return evaluate(self, x)
 
 
 def _as_values(instance: QuboInstance, x: Mapping[int, int] | Sequence[int]) -> list[int]:
@@ -196,11 +280,9 @@ def ising_to_qubo(
 
 # One q line whose three numbers int64 holds exactly: at most 18 digits each.
 _Q_LINES = re.compile(rb"(?:q [0-9]{1,18} [0-9]{1,18} -?[0-9]{1,18}\n)*")
-# The q block is checked and parsed in pieces of at most this many bytes: a
+# The q block is checked in pieces of at most this many bytes: a
 # repeated-group match costs memory in proportion to the span it covers.
 _PIECE_BYTES = 1 << 16
-# Lines joined per write call: one join of a 500,000-line block costs ~30 MB.
-_WRITE_LINES = 1 << 13
 
 
 def read_instance(path) -> QuboInstance:
@@ -222,10 +304,10 @@ def _read_bulk(data: bytes) -> QuboInstance | None:
 
     The lines before the first ``q `` line go through the line parser.  The
     rest must be ``q <i> <j> <value>\\n`` lines, single-spaced, with at most
-    18 digits per number, so that int64 parses them exactly; their indices
-    must lie in 1..n and off the diagonal, no pair may repeat and no value
-    may be zero.  Anything else returns None: comments, CR line ends, a
-    missing final newline, more digits, or data the line parser rejects.
+    18 digits per number, so that int64 parses them exactly; they become an
+    :class:`EdgeTable` in file order.  Anything else returns None: comments,
+    CR line ends, a missing final newline, more digits, or data the line
+    parser rejects or merges (bad indices, zeros, repeated pairs).
     """
     start = data.find(b"\nq ") + 1 or len(data)
     try:
@@ -238,22 +320,18 @@ def _read_bulk(data: bytes) -> QuboInstance | None:
     if "\r" in head or quadratic:
         return None
     pos = start
-    lines = 0
     while pos < len(data):
         cut = data.rfind(b"\n", pos, pos + _PIECE_BYTES) + 1
         if cut <= pos or not _Q_LINES.fullmatch(data, pos, cut):
             return None
-        numbers = np.fromstring(data[pos:cut].replace(b"q", b""), dtype=np.int64, sep=" ")
-        i, j, v = numbers.reshape(-1, 3).T
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        if int(lo.min()) < 1 or int(hi.max()) > n or (lo == hi).any() or not v.all():
-            return None
-        quadratic.update(zip(zip(lo.tolist(), hi.tolist()), v.tolist()))
-        lines += len(v)
         pos = cut
-    if len(quadratic) != lines:
+    i, j, v = np.fromstring(data[start:].replace(b"q", b""), dtype=np.int64,
+                            sep=" ").reshape(-1, 3).T
+    edges = EdgeTable(np.minimum(i, j), np.maximum(i, j), v.copy())
+    try:
+        return QuboInstance(n, {k: c for k, c in linear.items() if c != 0}, edges, offset)
+    except ValueError:
         return None
-    return QuboInstance(n, {k: c for k, c in linear.items() if c != 0}, quadratic, offset)
 
 
 def _read_lines(data: bytes) -> QuboInstance:
@@ -338,19 +416,22 @@ def write_instance(
     ``path`` is a file name or an open text file, which is left open.  With
     ``ids``, variable k is written as ``ids[k - 1]`` and the problem line
     declares ``n`` variables; ``ids`` must ascend, so that the sorted order
-    of the instance's indices is the sorted order of the written ones.
+    of the instance's indices is the sorted order of the written ones.  The
+    q lines are formatted from the sorted edge arrays, a slice at a time.
     """
     label = [str(k) for k in (range(instance.n + 1) if ids is None else [0, *ids])]
+    lo, hi, d = edge_arrays(instance.quadratic)
+    order = _lex_order(lo, hi)
+    if order is not None:
+        lo, hi, d = lo[order], hi[order], d[order]
     opened = nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8")
     with opened as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(f"p qubo {instance.n if ids is None else n}\n")
         fh.write(f"o {instance.offset}\n")
-        quadratic = instance.quadratic
-        lines = chain(
-            (f"l {label[i]} {v}\n" for i, v in sorted(instance.linear.items())),
-            (f"q {label[i]} {label[j]} {quadratic[i, j]}\n" for i, j in sorted(quadratic)),
-        )
-        while chunk := "".join(islice(lines, _WRITE_LINES)):
-            fh.write(chunk)
+        fh.write("".join(f"l {label[i]} {v}\n" for i, v in sorted(instance.linear.items())))
+        for a in range(0, len(d), _BLOCK):
+            b = a + _BLOCK
+            fh.write("".join([f"q {label[i]} {label[j]} {v}\n" for i, j, v in zip(
+                lo[a:b].tolist(), hi[a:b].tolist(), d[a:b].tolist())]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SolutionMap, reconstruct_solution
-from .model import QuboInstance, evaluate
+from .model import QuboInstance, edge_arrays, evaluate
 
 OPTIMA_CAP = 1 << 16
 _CHUNK_BITS = 16
@@ -39,12 +39,11 @@ class OracleResult:
 
 def _dense_arrays(instance: QuboInstance) -> tuple[np.ndarray, np.ndarray]:
     n = instance.n
-    c = np.zeros(n, dtype=np.int64)
+    c, upper = np.zeros(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
     for i, v in instance.linear.items():
         c[i - 1] = v
-    upper = np.zeros((n, n), dtype=np.int64)
-    for (i, j), d in instance.quadratic.items():
-        upper[i - 1, j - 1] = d
+    lo, hi, d = edge_arrays(instance.quadratic)
+    upper[lo - 1, hi - 1] = d
     return c, upper
 
 
@@ -82,7 +81,7 @@ def brute_force_solve(instance: QuboInstance, n_limit: int = 24) -> OracleResult
     magnitude = (
         abs(instance.offset)
         + sum(abs(v) for v in instance.linear.values())
-        + sum(abs(v) for v in instance.quadratic.values())
+        + sum(abs(v) for _, v in instance.quadratic.items())
     )
     if magnitude >= 1 << 62:
         raise ValueError("coefficient magnitudes overflow the oracle's arithmetic")
@@ -139,6 +138,7 @@ def check_equivalence(
     instance is indexed densely; position k corresponds to survivor
     ``solution_map.survivors[k-1]``) reconstructs to an assignment achieving
     the original optimum.  Reports the first counterexample on failure.
+    Raises ValueError if the map does not partition 1..n.
     """
     if original.n > n_limit or reduced.n > n_limit:
         raise ValueError(f"instance above the oracle limit {n_limit}")
@@ -147,6 +147,10 @@ def check_equivalence(
             f"reduced instance has {reduced.n} variables but the map lists "
             f"{len(solution_map.survivors)} survivors"
         )
+    listed = [v for v, *_ in solution_map.assignments + solution_map.identities]
+    if sorted(listed + solution_map.survivors) != list(range(1, original.n + 1)):
+        raise ValueError(f"the map's assignments, identities and survivors do not "
+                         f"list each of 1..{original.n} once")
     res_orig = brute_force_solve(original, n_limit)
     res_red = brute_force_solve(reduced, n_limit)
     if res_orig.optimum != res_red.optimum:

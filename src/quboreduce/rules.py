@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import QuboInstance, canonical_pair
+from .model import QuboInstance, canonical_pair, edge_arrays
 from .state import ReductionState
 
 R1_0 = "R1_0"
@@ -359,14 +359,17 @@ def penalty_rewrite(
     """
     if not (1 <= i <= instance.n and 1 <= h <= instance.n) or i == h:
         raise ValueError(f"invalid pair ({i}, {h})")
-    st = ReductionState(instance)
-    slack = (*slacks(st, i), *slacks(st, h))
+    lo, hi, d = edge_arrays(instance.quadratic)
+    slack = []
+    for v in (i, h):  # the slacks of :func:`slacks`, from v's incident edges
+        row, c = d[(lo == v) | (hi == v)].tolist(), instance.linear.get(v, 0)
+        slack += [c + sum(x for x in row if x > 0), -(c + sum(x for x in row if x < 0))]
     relation = Inequality(kind, i, h)
     bound = min(r.bound(*slack) for r in PAIR_RULES if r.conclude(i, h) == relation)
     if M <= bound:
         raise ValueError(f"penalty weight {M} does not exceed the bound {bound}")
     linear = dict(instance.linear)
-    quadratic = dict(instance.quadratic)
+    quadratic = dict(instance.quadratic.items())
     key = canonical_pair(i, h)
     offset = instance.offset
     if kind is InequalityKind.AT_MOST_ONE:

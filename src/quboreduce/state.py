@@ -8,11 +8,21 @@ per-variable sums of negative/positive incident edge weights (``d_minus`` /
 tells which rows need examining again.  All mutation goes through
 ``apply_fix`` and the two substitution operations, which keep every derived
 quantity incrementally consistent with the working coefficients.
+
+The constructor works on the edge arrays: a stable sort by row, then
+``reduceat`` per row for sums and extremes, on int64 while exact and on
+Python integers otherwise; only the rows' dicts are built in Python.  It
+keeps the set-up edges and slack screen, true while an edge's rows are
+untouched.
 """
 
 from __future__ import annotations
 
-from .model import QuboInstance
+from itertools import chain, islice
+
+import numpy as np
+
+from .model import QuboInstance, edge_arrays
 
 # Variable status codes.
 FREE = 0
@@ -20,6 +30,9 @@ FIXED_ZERO = 1
 FIXED_ONE = 2
 SAME_AS = 3        # x_var == x_ref
 COMPLEMENT_OF = 4  # x_var == 1 - x_ref
+
+# Row entries converted to Python values at a time.
+_BLOCK = 1 << 13
 
 
 class ReductionState:
@@ -29,36 +42,64 @@ class ReductionState:
         "n", "offset", "c", "adj", "d_minus", "d_plus",
         "min_val", "min_arg", "max_val", "max_arg",
         "status", "live_count", "events", "touched",
-        "assignment_log", "identity_log",
+        "assignment_log", "identity_log", "setup_edges", "setup_screen",
     )
 
     def __init__(self, instance: QuboInstance):
-        n = instance.n
-        self.n = n
+        n = self.n = instance.n
         self.offset = instance.offset
         self.c = [0] * (n + 1)
         for i, v in instance.linear.items():
             self.c[i] = v
-        self.adj: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-        for (i, j), d in instance.quadratic.items():
-            self.adj[i][j] = d
-            self.adj[j][i] = d
-        self.d_minus = [0] * (n + 1)
-        self.d_plus = [0] * (n + 1)
-        self.min_val = [0] * (n + 1)
-        self.min_arg = [0] * (n + 1)
-        self.max_val = [0] * (n + 1)
-        self.max_arg = [0] * (n + 1)
-        for i in range(1, n + 1):
-            neg = pos = 0
-            for j, d in self.adj[i].items():
-                if d < 0:
-                    neg += d
-                else:
-                    pos += d
-            self.d_minus[i] = neg
-            self.d_plus[i] = pos
-            self.recompute_row_extremes(i)
+        lo, hi, d = edge_arrays(instance.quadratic)
+        # Both ends of every edge, interleaved (entry p's other end is p ^ 1),
+        # sorted stably by row, so each row keeps the order of the edges.
+        ends = np.empty(2 * len(d), dtype=np.int64)
+        ends[0::2], ends[1::2] = lo, hi
+        counts = np.bincount(ends, minlength=n + 1)
+        # int64 is exact while max|c| + max|d| * max degree, a bound on any
+        # row's sums, is below 2^62; past that the code runs on Python ints.
+        big = max(map(abs, self.c)) + (
+            max(-int(d.min()), int(d.max())) * int(counts.max()) if len(d) else 0)
+        dtype = np.int64 if big < 1 << 62 else object
+        perm = ends.argsort(kind="stable")
+        row, nbr, val = ends[perm], ends[perm ^ 1], d.astype(dtype, copy=False)[perm >> 1]
+        del ends, perm
+        # Per row with edges: the sums of its negative and positive values,
+        # and its smallest (largest) value if negative (positive), at its
+        # smallest neighbour of that value; 0 and 0 otherwise.
+        full = counts.nonzero()[0]
+        at = (counts.cumsum() - counts)[full]  # the rows' first entries
+        neg, pos = np.minimum(val, 0), np.maximum(val, 0)
+        stats = np.zeros((4, n + 1), dtype=dtype)
+        d_minus, d_plus, min_val, max_val = stats
+        d_minus[full], d_plus[full] = np.add.reduceat(neg, at), np.add.reduceat(pos, at)
+        min_val[full], max_val[full] = np.minimum.reduceat(neg, at), np.maximum.reduceat(pos, at)
+        del neg, pos
+        args = np.zeros((2, n + 1), dtype=np.int64)
+        for ext, arg in zip((min_val, max_val), args):
+            arg[full] = np.minimum.reduceat(np.where(val == ext[row], nbr, n + 1), at)
+        args %= n + 1
+        self.d_minus, self.d_plus, self.min_val, self.max_val = stats.tolist()
+        self.min_arg, self.max_arg = args.tolist()
+        # True while an edge's rows stay untouched: the set-up edges, and the
+        # neighbours that pass the screen of rules.pair_may_fire, |d| >=
+        # min(u, w) at either end, row v's at first[v]:first[v + 1].
+        self.setup_edges = (lo, hi, d)
+        c = np.array(self.c, dtype=dtype)
+        slack = np.minimum(c + d_plus, -(c + d_minus))
+        sel = (abs(val) >= np.minimum(slack[row], slack[nbr])).nonzero()[0]
+        first = np.zeros(n + 2, dtype=np.int64)
+        np.bincount(row[sel], minlength=n + 1).cumsum(out=first[1:])
+        self.setup_screen = (first.tolist(), nbr[sel].tolist())
+        del row
+        # The rows' dicts, from entries converted a block at a time; the keys
+        # share one int object per variable.
+        ids = list(range(n + 1))
+        pairs = chain.from_iterable(
+            zip(map(ids.__getitem__, nbr[a:a + _BLOCK].tolist()), val[a:a + _BLOCK].tolist())
+            for a in range(0, len(val), _BLOCK))
+        self.adj: list[dict[int, int]] = [dict(islice(pairs, k)) for k in counts.tolist()]
         self.status = [FREE] * (n + 1)
         self.live_count = n
         self.events = 0
@@ -73,16 +114,6 @@ class ReductionState:
 
     def free_variables(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self.status[i] == FREE]
-
-    def snapshot(self) -> QuboInstance:
-        """Current working problem as an instance over the original index set."""
-        linear = {i: v for i, v in enumerate(self.c) if v != 0}
-        quadratic = {}
-        for i in range(1, self.n + 1):
-            for j, d in self.adj[i].items():
-                if i < j:
-                    quadratic[(i, j)] = d
-        return QuboInstance(self.n, linear, quadratic, self.offset)
 
     # -- maintenance -----------------------------------------------------
 
@@ -242,37 +273,6 @@ class ReductionState:
         self.status[h] = SAME_AS
         self.identity_log.append((h, SAME_AS, i))
         self.live_count -= 1
-
-    # -- verification helper ----------------------------------------------
-
-    def check_consistency(self) -> None:
-        """Assert all derived quantities match a from-scratch recomputation."""
-        for i in range(1, self.n + 1):
-            if self.status[i] != FREE:
-                assert not self.adj[i], f"dead variable {i} retains edges"
-                assert self.c[i] == 0 and self.d_minus[i] == 0 and self.d_plus[i] == 0
-                continue
-            neg = pos = 0
-            mx = mxa = mn = mna = 0
-            for j, d in self.adj[i].items():
-                assert d != 0, f"zero edge stored at ({i}, {j})"
-                assert self.status[j] == FREE, f"edge ({i}, {j}) to dead variable"
-                assert self.adj[j].get(i) == d, f"asymmetric edge ({i}, {j})"
-                if d < 0:
-                    neg += d
-                    if mna == 0 or d < mn or (d == mn and j < mna):
-                        mn, mna = d, j
-                else:
-                    pos += d
-                    if mxa == 0 or d > mx or (d == mx and j < mxa):
-                        mx, mxa = d, j
-            assert self.d_minus[i] == neg, f"d_minus[{i}]={self.d_minus[i]} != {neg}"
-            assert self.d_plus[i] == pos, f"d_plus[{i}]={self.d_plus[i]} != {pos}"
-            assert (self.max_val[i], self.max_arg[i]) == (mx, mxa), \
-                f"max extreme of row {i} stale"
-            assert (self.min_val[i], self.min_arg[i]) == (mn, mna), \
-                f"min extreme of row {i} stale"
-
 
 def init_state(instance: QuboInstance) -> ReductionState:
     """Fresh state: every variable free, sums and extremes computed."""

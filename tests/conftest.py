@@ -7,7 +7,7 @@ import pytest
 from quboreduce import rules
 from quboreduce.engine import apply_conclusion
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
-from quboreduce.state import ReductionState, init_state
+from quboreduce.state import FREE, ReductionState, init_state
 
 
 def random_instance(rng: random.Random, n: int, coef: int = 10,
@@ -33,6 +33,24 @@ def sweep_instance(t: int) -> QuboInstance:
     rng = random.Random(t)
     n = rng.randint(2, 18)
     return random_instance(rng, n)
+
+
+def shuffled_instance(rng: random.Random, scale: int) -> QuboInstance:
+    """Random instance whose dicts list their keys in random order.
+
+    Values are small multiples of ``scale`` plus a little, so rows tie on
+    their extremes and, at large scales, their sums pass 2^62 or int64.
+    """
+    def value() -> int:
+        return rng.choice((-1, 1)) * (rng.randint(1, 3) * scale + rng.randint(0, 2))
+
+    n = rng.randint(1, 30)
+    density = rng.choice((0.2, 0.9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if rng.random() < density]
+    rng.shuffle(pairs)
+    linear = {i: value() for i in rng.sample(range(1, n + 1), rng.randint(0, n))}
+    return QuboInstance(n, linear, {p: value() for p in pairs}, rng.randint(-5, 5))
 
 
 def all_assignments(n: int):
@@ -107,6 +125,87 @@ def catalog_firings(st) -> list:
             if i < h and i not in fixable and h not in fixable:
                 out.extend(rules.derive_pair_inequalities(st, i, h))
     return out
+
+
+def legacy_state(instance: QuboInstance) -> ReductionState:
+    """A state built edge by edge, as ReductionState was before its array build.
+
+    Only the slots of that constructor are set: the reference for every
+    slot and for each row's order.
+    """
+    st = object.__new__(ReductionState)
+    n = st.n = instance.n
+    st.offset = instance.offset
+    st.c = [0] * (n + 1)
+    for i, v in instance.linear.items():
+        st.c[i] = v
+    st.adj = [dict() for _ in range(n + 1)]
+    for (i, j), d in instance.quadratic.items():
+        st.adj[i][j] = d
+        st.adj[j][i] = d
+    st.d_minus, st.d_plus = [0] * (n + 1), [0] * (n + 1)
+    st.min_val, st.min_arg = [0] * (n + 1), [0] * (n + 1)
+    st.max_val, st.max_arg = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        st.d_minus[i] = sum(d for d in st.adj[i].values() if d < 0)
+        st.d_plus[i] = sum(d for d in st.adj[i].values() if d > 0)
+        st.recompute_row_extremes(i)
+    st.status = [FREE] * (n + 1)
+    st.live_count = n
+    st.events = 0
+    st.touched = [0] * (n + 1)
+    st.assignment_log, st.identity_log = [], []
+    return st
+
+
+def snapshot(st: ReductionState) -> QuboInstance:
+    """A state's working problem as an instance over the original index set."""
+    linear = {i: v for i, v in enumerate(st.c) if v != 0}
+    quadratic = {(i, j): d for i in range(1, st.n + 1) for j, d in st.adj[i].items() if i < j}
+    return QuboInstance(st.n, linear, quadratic, st.offset)
+
+
+def check_consistency(st: ReductionState) -> None:
+    """Assert all derived quantities match a from-scratch recomputation."""
+    for i in range(1, st.n + 1):
+        if st.status[i] != FREE:
+            assert not st.adj[i], f"dead variable {i} retains edges"
+            assert st.c[i] == 0 and st.d_minus[i] == 0 and st.d_plus[i] == 0
+            continue
+        neg = pos = 0
+        mx = mxa = mn = mna = 0
+        for j, d in st.adj[i].items():
+            assert d != 0, f"zero edge stored at ({i}, {j})"
+            assert st.status[j] == FREE, f"edge ({i}, {j}) to dead variable"
+            assert st.adj[j].get(i) == d, f"asymmetric edge ({i}, {j})"
+            if d < 0:
+                neg += d
+                if mna == 0 or d < mn or (d == mn and j < mna):
+                    mn, mna = d, j
+            else:
+                pos += d
+                if mxa == 0 or d > mx or (d == mx and j < mxa):
+                    mx, mxa = d, j
+        assert st.d_minus[i] == neg, f"d_minus[{i}]={st.d_minus[i]} != {neg}"
+        assert st.d_plus[i] == pos, f"d_plus[{i}]={st.d_plus[i]} != {pos}"
+        assert (st.max_val[i], st.max_arg[i]) == (mx, mxa), f"max extreme of row {i} stale"
+        assert (st.min_val[i], st.min_arg[i]) == (mn, mna), f"min extreme of row {i} stale"
+
+
+LEGACY_SLOTS = (
+    "n", "offset", "c", "d_minus", "d_plus", "min_val", "min_arg", "max_val",
+    "max_arg", "status", "live_count", "events", "touched", "assignment_log",
+    "identity_log",
+)
+
+
+def dense_reference(st: ReductionState, survivors: list[int]) -> QuboInstance:
+    """The reduced instance built as a dict over the survivors' rows."""
+    index = {v: k + 1 for k, v in enumerate(survivors)}
+    linear = {index[v]: st.c[v] for v in survivors if st.c[v] != 0}
+    quadratic = {(index[v], index[w]): d
+                 for v in survivors for w, d in st.adj[v].items() if v < w}
+    return QuboInstance(len(survivors), linear, quadratic, st.offset)
 
 
 @pytest.fixture

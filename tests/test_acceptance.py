@@ -13,7 +13,7 @@ import pytest
 from conftest import (
     RESIDUAL_COMPLEMENT, RULE_SILENT, catalog_firings,
     check_verdict_against_optima, optima_by_enumeration, replay,
-    restricted_optimum, sweep_instance,
+    restricted_optimum, snapshot, sweep_instance,
 )
 from quboreduce import rules
 from quboreduce.engine import (
@@ -88,7 +88,7 @@ def _check_derived_examples():
     st.apply_substitution_complement(1, 2)
     assert (st.offset, st.c[1], st.c[3]) == (1, 0, 3)
     assert st.adj[1].get(3) == -1
-    assert brute_force_solve(st.snapshot()).optimum == 4
+    assert brute_force_solve(snapshot(st)).optimum == 4
     assert brute_force_solve(triple).optimum == 4
     st = init_state(two(-1, -1, 2))
     st.apply_substitution_equal(1, 2)
@@ -177,7 +177,7 @@ def test_criterion_2_rule_micro_suite(sweep):
     checked = 0
     for t, (inst, reduced, log, smap) in enumerate(sweep):
         for state in replay(inst, log.events):
-            snap = state.snapshot()
+            snap = snapshot(state)
             st = init_state(snap)
             firings = catalog_firings(st)
             if not firings:
@@ -224,7 +224,7 @@ def test_criterion_4_compensation_term_regression(uncompensated_complement):
         for state, ev in zip(replay(inst, log.events), log.events):
             if not isinstance(ev.verdict.conclusion, rules.SubstituteComplement):
                 continue
-            snap = state.snapshot()
+            snap = snapshot(state)
             h = ev.verdict.conclusion.h
             deg = sum(1 for pair in snap.quadratic if h in pair)
             if deg >= 2:
@@ -294,7 +294,7 @@ def test_criterion_6_penalty_correctness():
             continue
         instances_checked += 1
         wanted = {rec.snapshot_id for rec in qualifying[:4]}
-        snaps = {st.events: st.snapshot() for st in replay(inst, log.events)
+        snaps = {st.events: snapshot(st) for st in replay(inst, log.events)
                  if st.events in wanted}
         for rec in qualifying[:4]:
             snap = snaps[rec.snapshot_id]

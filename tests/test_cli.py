@@ -263,6 +263,37 @@ class TestReduceVerify:
         assert run(["verify", src, red, log]) == 2
         assert "error: identity for 2 references unresolved 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc["identities"].append([1, "same", 1]), id="identity"),
+        pytest.param(lambda doc: doc["assignments"].append(doc["assignments"][0]),
+                     id="repeated-assignment"),
+        pytest.param(lambda doc: doc["assignments"].pop(), id="missing-variable"),
+    ])
+    def test_verify_rejects_map_that_is_no_partition(self, tmp_path, capsys, edit):
+        # the triple reduces to nothing; each edit lists a variable twice or not at all
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        assert run(["verify", src, red, log]) == 0
+        doc = json.loads(log.read_text())
+        edit(doc)
+        log.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        captured = capsys.readouterr()
+        assert "error: the map's assignments, identities and survivors" in captured.err
+        assert "verified" not in captured.out
+
+    def test_verify_deeply_nested_log_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 2\nl 1 1\n")
+        log = tmp_path / "log.json"
+        log.write_text("[" * 100_000)
+        assert run(["verify", src, src, log]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed log document")
+
     @pytest.mark.parametrize("fmt", ["bogus/9", None])
     def test_verify_rejects_unknown_log_format(self, tmp_path, capsys, fmt):
         src = tmp_path / "in.qubo"
@@ -394,6 +425,14 @@ class TestReport:
         assert run(["report", log]) == 2
         captured = capsys.readouterr()
         assert "error: malformed log document" in captured.err
+        assert captured.out == ""
+
+    def test_report_deeply_nested_log_is_input_error(self, tmp_path, capsys):
+        log = tmp_path / "deep.json"
+        log.write_text("[" * 100_000)
+        assert run(["report", log]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed log document")
         assert captured.out == ""
 
     def test_report_non_utf8_log(self, tmp_path, capsys):

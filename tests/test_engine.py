@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conftest import (
-    RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, random_instance, replay,
-    sweep_instance,
+    RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, check_consistency, dense_reference,
+    random_instance, replay, shuffled_instance, sweep_instance,
 )
 from quboreduce import rules
 from quboreduce.engine import (
@@ -354,6 +354,84 @@ class TestInstrumentation:
         assert fired_total > 0
 
 
+def run_record(inst: QuboInstance, probes: list) -> tuple[list, list]:
+    """The pair probes and the events of a run to the fixed point."""
+    probes.clear()
+    _, log, _ = run_to_fixed_point(inst)
+    return list(probes), [(ev.pass_number, ev.verdict, ev.live_after) for ev in log.events]
+
+
+class TestScreenedFirstPass:
+    """The set-up screen changes which edges the first pass walks, nothing else."""
+
+    @staticmethod
+    def unscreened(monkeypatch):
+        init = _Reducer.__init__
+
+        def plain(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.screen = None
+
+        monkeypatch.setattr(_Reducer, "__init__", plain)
+
+    def check(self, instances, probes, monkeypatch) -> int:
+        """Asserts equal runs with and without the screen; returns the screen
+        tests the screened runs saved."""
+        screens = []
+
+        def counted(st, i, h, screen=rules.pair_may_fire):
+            screens[-1] += 1
+            return screen(st, i, h)
+
+        monkeypatch.setattr(rules, "pair_may_fire", counted)
+        saved = 0
+        for inst in instances:
+            screens.append(0)
+            screened = run_record(inst, probes)
+            with monkeypatch.context() as m:
+                self.unscreened(m)
+                screens.append(0)
+                plain = run_record(inst, probes)
+            assert screened == plain
+            saved += screens[-1] - screens[-2]
+        return saved
+
+    def test_sweep_and_tie_heavy_instances(self, probes, monkeypatch):
+        rng = random.Random(75)
+        instances = [sweep_instance(t) for t in range(1000)]
+        instances += [random_instance(rng, rng.randint(2, 14), coef=2) for _ in range(300)]
+        instances += [shuffled_instance(rng, scale) for scale in (1, 2**62, 10**30)
+                      for _ in range(30)]
+        assert self.check(instances, probes, monkeypatch) > 0
+
+    def test_generated_rows(self, probes, monkeypatch):
+        # generate --size 2000 --edges 20000 --seed 42 --design-row 1..16
+        instances = [generate_instance(GeneratorSpec.from_design(2000, 20000, row, seed=42))
+                     for row in design_table()]
+        assert self.check(instances, probes, monkeypatch) > 0
+
+
+class TestDenseReduced:
+    def test_matches_dict_build(self):
+        # Reduced instances of runs that fix, substitute and keep
+        # untouched edges, on sorted and on shuffled set-up edges.
+        rng = random.Random(76)
+        instances = [random_instance(rng, rng.randint(2, 14), coef=rng.choice((2, 10)))
+                     for _ in range(200)]
+        instances += [shuffled_instance(rng, scale) for scale in (1, 2**62, 10**30)
+                      for _ in range(30)]
+        instances.append(generate_instance(
+            GeneratorSpec.from_design(2000, 20000, design_table()[2], seed=42)))
+        for inst in instances:
+            reduced, log, smap = run_to_fixed_point(inst)
+            *_, st = replay(inst, log.events)
+            want = dense_reference(st, smap.survivors)
+            assert reduced == want and want == reduced
+            assert _dense_reduced(st, smap.survivors) == want
+            assert list(reduced.quadratic) == sorted(want.quadratic)
+            assert list(reduced.linear.items()) == list(want.linear.items())
+
+
 class TestReplay:
     def test_replay_rebuilds_the_run(self):
         rng = random.Random(72)
@@ -363,7 +441,7 @@ class TestReplay:
             reduced, log, smap = run_to_fixed_point(inst, emit_inequalities=True)
             seen_events = set()
             for st in replay(inst, log.events):
-                st.check_consistency()
+                check_consistency(st)
                 seen_events.add(st.events)
             survivors = st.free_variables()
             assert survivors == smap.survivors

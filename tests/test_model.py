@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import (
-    QuboFormatError, QuboInstance, _parse_lines, _read_bulk, _read_lines,
-    build_from_triplets, evaluate, ising_to_qubo, read_instance, write_instance,
+    EdgeTable, QuboFormatError, QuboInstance, _parse_lines, _read_bulk, _read_lines,
+    build_from_triplets, evaluate, int_array, ising_to_qubo, read_instance, write_instance,
 )
 
 
@@ -207,6 +208,78 @@ class TestFileFormat:
             10, {2: -1, 7: 5}, {(2, 7): 2, (7, 9): 1}, 4)
         lines = path.read_text().splitlines()
         assert lines == ["p qubo 10", "o 4", "l 2 -1", "l 7 5", "q 2 7 2", "q 7 9 1"]
+
+
+def table(items) -> EdgeTable:
+    """An edge table over the given ((i, j), d) items, in their order."""
+    lo, hi, d = zip(*[(i, j, v) for (i, j), v in items]) if items else ((), (), ())
+    return EdgeTable(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64),
+                     int_array(list(d)))
+
+
+class TestEdgeTable:
+    ITEMS = [((3, 9), -4), ((1, 2), 5), ((4, 5), 10**30)]
+
+    def test_mapping_contract(self):
+        t, d = table(self.ITEMS), dict(self.ITEMS)
+        assert t == d and d == t and not t != d
+        assert t == table(self.ITEMS[::-1]) and t != {(1, 2): 5}
+        assert t != dict(self.ITEMS[:2] + [((4, 5), 10**30 + 1)])
+        assert list(t) == list(t.keys()) == [(3, 9), (1, 2), (4, 5)]
+        assert list(t.items()) == self.ITEMS
+        assert list(t.values()) == [-4, 5, 10**30]
+        assert all(type(v) is int for v in t.values())
+        assert t[(1, 2)] == 5 and (1, 2) in t and (2, 1) not in t
+        assert t.get((2, 1)) is None and ((4, 5), 10**30) in t.items()
+        with pytest.raises(KeyError):
+            t[(2, 1)]
+        assert len(t) == 3 and len(table([])) == 0 and table([]) == {}
+        assert repr(t) == repr(d)
+        inst_t, inst_d = QuboInstance(9, {1: 2}, t, 3), QuboInstance(9, {1: 2}, d, 3)
+        assert inst_t == inst_d and inst_d == inst_t and repr(inst_t) == repr(inst_d)
+        assert inst_t.num_edges == 3
+
+    @pytest.mark.parametrize("items", [
+        [((1, 4), 2)], [((0, 2), 1)], [((2, 1), 3)], [((2, 2), 3)], [((1, 2), 0)],
+        [((1, 2), 5), ((3, 1), 2), ((1, 3), 0)],
+        [((1, 2), 5), ((1, 3), 0), ((3, 1), 2)],
+    ])
+    def test_same_errors_as_a_dict(self, items):
+        with pytest.raises(ValueError) as from_dict:
+            QuboInstance(3, {}, dict(items))
+        with pytest.raises(ValueError) as from_table:
+            QuboInstance(3, {}, table(items))
+        assert str(from_table.value) == str(from_dict.value)
+
+    @pytest.mark.parametrize("items", [
+        [((1, 2), 5), ((1, 2), 3)],
+        [((2, 3), 5), ((1, 2), 1), ((2, 3), -3)],
+    ])
+    def test_repeated_pair_rejected(self, items):
+        with pytest.raises(ValueError, match=r"pair \(\d, \d\) repeats"):
+            QuboInstance(3, {}, table(items))
+
+    def test_writer_sorts_the_pairs(self, tmp_path):
+        rng = random.Random(12)
+        path = tmp_path / "w.qubo"
+        for _ in range(20):
+            items = list(build_from_triplets(12, [
+                (rng.randint(1, 12), rng.randint(1, 12), rng.choice((1, 10**20)) * rng.randint(-9, 9))
+                for _ in range(30)]).quadratic.items())
+            rng.shuffle(items)
+            # variable k is written as k + 1
+            want = "p qubo 20\no 2\nl 4 -1\n" + "".join(
+                f"q {i + 1} {j + 1} {v}\n" for (i, j), v in sorted(items))
+            for quadratic in (dict(items), table(items)):
+                write_instance(QuboInstance(12, {3: -1}, quadratic, 2), path,
+                               ids=range(2, 14), n=20)
+                assert path.read_text() == want
+
+    def test_bulk_parse_gives_a_table(self, tmp_path):
+        path = tmp_path / "t.qubo"
+        path.write_text("p qubo 9\nq 2 1 5\nq 3 9 -4\n")
+        got = read_instance(path).quadratic
+        assert isinstance(got, EdgeTable) and list(got.items()) == [((1, 2), 5), ((3, 9), -4)]
 
 
 def same_as_line_parser(path) -> QuboInstance | str:

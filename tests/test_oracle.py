@@ -9,6 +9,7 @@ from quboreduce.engine import SolutionMap
 from quboreduce.model import QuboInstance, build_from_triplets
 from quboreduce import oracle
 from quboreduce.oracle import brute_force_solve, check_equivalence
+from quboreduce.state import SAME_AS
 
 
 class TestBruteForce:
@@ -165,6 +166,19 @@ class TestCheckEquivalence:
         report = check_equivalence(inst, reduced, bad)
         assert not report.ok
         assert report.counterexample is not None
+
+    def test_map_must_partition_the_variables(self):
+        inst = build_from_triplets(
+            3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
+        )
+        reduced, _, smap = run_to_fixed_point(inst)
+        fixed = smap.assignments
+        assert reduced.n == 0 and len(fixed) == 3 and not smap.identities
+        for bad in (SolutionMap(fixed, [(1, SAME_AS, 1)], []),
+                    SolutionMap(fixed + fixed[:1], [], []),
+                    SolutionMap(fixed[1:], [], [])):
+            with pytest.raises(ValueError, match=r"do not list each of 1\.\.3 once"):
+                check_equivalence(inst, reduced, bad)
 
     def test_refuses_oversized(self):
         inst = QuboInstance(30, {}, {}, 0)

@@ -5,7 +5,7 @@ import pytest
 from conftest import (
     catalog_firings as _catalog_firings, check_verdict_against_optima,
     optima_by_enumeration, random_instance, replay, restricted_optimum,
-    sweep_instance,
+    snapshot, sweep_instance,
 )
 from quboreduce import rules
 from quboreduce.engine import run_to_fixed_point
@@ -16,7 +16,7 @@ from quboreduce.rules import (
     rule_complement_pair, rule_equal_pair, rule_fix_one, rule_fix_zero,
     rule_pair_one, rule_pair_one_zero, rule_pair_zero, rule_pair_zero_one,
 )
-from quboreduce.state import init_state
+from quboreduce.state import ReductionState, init_state
 
 
 def two_var(c1, c2, d12):
@@ -57,7 +57,7 @@ class TestSingleVariableRules:
         st = state_of((1, 1, 2), (1, 2, -2))
         v = rule_fix_one(st, 1)
         assert v is not None and not v.unique
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert any(x[0] == 1 for x in optima)
 
     def test_fix_zero_no_positive_edges(self):
@@ -85,7 +85,7 @@ class TestPairInequalities:
             ("R1_2", InequalityKind.AT_LEAST_ONE),
             ("R1_2p", InequalityKind.AT_LEAST_ONE),
         }
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert sorted(optima) == [(0, 1), (1, 0)]
 
     def test_positive_edge_directional(self):
@@ -101,7 +101,7 @@ class TestPairInequalities:
             ("R2_2", InequalityKind.I_LE_H),
             ("R2_2p", InequalityKind.H_LE_I),
         }
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert sorted(optima) == [(0, 0), (1, 1)]
 
     def test_absent_edge_yields_nothing(self):
@@ -126,14 +126,14 @@ class TestComplementPair:
         assert v is not None and v.rule_id == "R2_5"
         assert v.conclusion == SubstituteComplement(1, 2)
         assert v.unique
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert all(x[0] + x[1] == 1 for x in optima)
 
     def test_fires_at_boundary_not_unique(self):
         st = init_state(two_var(1, 1, -1))
         v = rule_complement_pair(st, 1, 2)
         assert v is not None and not v.unique
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert any(x[0] + x[1] == 1 for x in optima)
 
     def test_positive_edge_silent(self):
@@ -159,14 +159,14 @@ class TestEqualPair:
         st = init_state(two_var(-1, -1, 2))
         v = rule_equal_pair(st, 1, 2)
         assert v is not None and v.conclusion == SubstituteEqual(1, 2)
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert all(x[0] == x[1] for x in optima)
 
     def test_fires_at_boundary(self):
         st = init_state(two_var(-1, -1, 1))
         v = rule_equal_pair(st, 1, 2)
         assert v is not None
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert any(x[0] == x[1] for x in optima)
 
     def test_negative_edge_silent(self):
@@ -190,20 +190,20 @@ class TestPairAssignments:
         st = init_state(two_var(-2, -2, 3))
         v = rule_pair_zero(st, 1, 2)
         assert v == RuleVerdict("R3_1", PairFix(1, 0, 2, 0), True)
-        best, optima = optima_by_enumeration(st.snapshot())
+        best, optima = optima_by_enumeration(snapshot(st))
         assert best == 0 and optima == [(0, 0)]
 
     def test_pair_zero_boundary(self):
         st = init_state(two_var(-1, -1, 2))
         v = rule_pair_zero(st, 1, 2)
         assert v is not None and not v.unique
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert sorted(optima) == [(0, 0), (1, 1)]
 
     def test_pair_zero_silent(self):
         st = init_state(two_var(-1, -1, 4))
         assert rule_pair_zero(st, 1, 2) is None
-        best, optima = optima_by_enumeration(st.snapshot())
+        best, optima = optima_by_enumeration(snapshot(st))
         assert best == 2 and optima == [(1, 1)]
 
     def test_pair_one_zero_orientations(self):
@@ -211,21 +211,21 @@ class TestPairAssignments:
         v = rule_pair_one_zero(st, 1, 2)
         assert v == RuleVerdict("R3_2", PairFix(1, 1, 2, 0), True)
         assert rule_pair_one_zero(st, 2, 1) is None
-        best, optima = optima_by_enumeration(st.snapshot())
+        best, optima = optima_by_enumeration(snapshot(st))
         assert best == 2 and optima == [(1, 0)]
 
     def test_pair_one_zero_boundary(self):
         st = init_state(two_var(1, 1, -2))
         v = rule_pair_one_zero(st, 1, 2)
         assert v is not None and not v.unique
-        _, optima = optima_by_enumeration(st.snapshot())
+        _, optima = optima_by_enumeration(snapshot(st))
         assert (1, 0) in optima
 
     def test_pair_one_fires(self):
         st = init_state(two_var(-1, -1, 3))
         v = rule_pair_one(st, 1, 2)
         assert v == RuleVerdict("R3_4", PairFix(1, 1, 2, 1), True)
-        best, optima = optima_by_enumeration(st.snapshot())
+        best, optima = optima_by_enumeration(snapshot(st))
         assert best == 1 and optima == [(1, 1)]
 
     def test_pair_one_boundary(self):
@@ -236,7 +236,7 @@ class TestPairAssignments:
     def test_pair_one_silent(self):
         st = init_state(two_var(-3, -3, 2))
         assert rule_pair_one(st, 1, 2) is None
-        best, optima = optima_by_enumeration(st.snapshot())
+        best, optima = optima_by_enumeration(snapshot(st))
         assert best == 0 and optima == [(0, 0)]
 
     def test_rule_3_3_equivalence(self):
@@ -569,6 +569,31 @@ class TestPenaltyRewrite:
         inst = two_var(5, 5, -2)
         with pytest.raises(ValueError, match="bound"):
             penalty_rewrite(inst, InequalityKind.AT_MOST_ONE, 1, 2, 0)
+
+    def test_reads_slacks_without_building_a_state(self, monkeypatch):
+        # The weakest bound comes from the edges at i and h alone and equals
+        # the bound over a whole state's slacks: M at the bound is refused,
+        # M one above it accepted.
+        rng = random.Random(78)
+        cases = []
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(2, 9))
+            i, h = rng.sample(range(1, inst.n + 1), 2)
+            st = init_state(inst)
+            slack = (*rules.slacks(st, i), *rules.slacks(st, h))
+            for kind in InequalityKind:
+                bound = min(r.bound(*slack) for r in rules.PAIR_RULES
+                            if r.conclude(i, h) == Inequality(kind, i, h))
+                cases.append((inst, kind, i, h, bound))
+
+        def fail(self, instance):
+            raise AssertionError("penalty_rewrite built a ReductionState")
+
+        monkeypatch.setattr(ReductionState, "__init__", fail)
+        for inst, kind, i, h, bound in cases:
+            with pytest.raises(ValueError, match="bound"):
+                penalty_rewrite(inst, kind, i, h, bound)
+            penalty_rewrite(inst, kind, i, h, bound + 1)
 
     def test_mined_penalties_preserve_restricted_optimum(self):
         kinds = {

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_instance, restricted_optimum
-from quboreduce.model import build_from_triplets
+from conftest import (
+    LEGACY_SLOTS, check_consistency, legacy_state, random_instance, restricted_optimum,
+    shuffled_instance, snapshot,
+)
+from quboreduce.model import EdgeTable, QuboInstance, build_from_triplets, edge_arrays
 from quboreduce.oracle import brute_force_solve
-from quboreduce.state import COMPLEMENT_OF, SAME_AS, init_state
+from quboreduce.rules import pair_may_fire
+from quboreduce.state import COMPLEMENT_OF, SAME_AS, ReductionState, init_state
 
 
 def two_var(c1, c2, d12):
@@ -38,6 +42,37 @@ class TestInitState:
         assert st.d_plus[1:] == [0, 1, 1]
 
 
+class TestArrayBuild:
+    """The array-built state equals a state built edge by edge."""
+
+    SCALES = (1, 2**40, 2**58, 2**61, 2**62 - 1, 2**62, 2**63, 10**30)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_every_slot_and_row_order(self, scale):
+        rng = random.Random(scale % 1000)
+        for _ in range(40):
+            inst = shuffled_instance(rng, scale)
+            want = legacy_state(inst)
+            as_table = QuboInstance(inst.n, inst.linear,
+                                    EdgeTable(*edge_arrays(inst.quadratic)), inst.offset)
+            for got in (ReductionState(inst), ReductionState(as_table)):
+                for slot in LEGACY_SLOTS:
+                    assert getattr(got, slot) == getattr(want, slot), slot
+                assert [list(r.items()) for r in got.adj] == [list(r.items()) for r in want.adj]
+                # The set-up screen lists, per row, what the slack screen passes.
+                starts, screened = got.setup_screen
+                for v in range(inst.n + 1):
+                    assert screened[starts[v]:starts[v + 1]] == [
+                        h for h in want.adj[v] if pair_may_fire(want, v, h)]
+
+    def test_int64_edge_values_take_exact_sums(self):
+        # each value fits int64, their row sum does not
+        big = 2**62 + 5
+        inst = QuboInstance(3, {}, {(1, 2): big, (1, 3): big}, 0)
+        st = ReductionState(inst)
+        assert st.d_plus[1] == 2 * big and st.max_val[1] == big and st.max_arg[1] == 2
+
+
 class TestApplyFix:
     def test_fix_one_folds_row(self):
         st = init_state(two_var(3, -2, 2))
@@ -46,14 +81,14 @@ class TestApplyFix:
         assert st.c[2] == 0
         assert st.d_plus[2] == 0 and st.max_arg[2] == 0
         assert not st.adj[1] and not st.adj[2]
-        st.check_consistency()
+        check_consistency(st)
 
     def test_fix_zero_touches_no_coefficients(self):
         st = init_state(two_var(3, -2, 2))
         st.apply_fix(1, 0)
         assert st.offset == 0 and st.c[2] == -2
         assert not st.adj[2]
-        st.check_consistency()
+        check_consistency(st)
 
     def test_fix_middle_of_path(self):
         st = init_state(TRIPLE)
@@ -61,7 +96,7 @@ class TestApplyFix:
         assert st.offset == 1
         assert st.c[1] == -1 and st.c[3] == 3
         assert st.d_minus[1] == 0 and st.d_plus[3] == 0
-        st.check_consistency()
+        check_consistency(st)
 
     def test_not_free_raises(self):
         st = init_state(two_var(1, 1, -2))
@@ -78,7 +113,7 @@ class TestApplyFix:
             i = rng.randint(1, n)
             v = rng.randint(0, 1)
             st.apply_fix(i, v)
-            reduced = st.snapshot()
+            reduced = snapshot(st)
             want = restricted_optimum(inst, lambda x: x[i - 1] == v)
             # dead variables have empty rows, so the padded snapshot's
             # optimum equals the restricted optimum
@@ -93,9 +128,9 @@ class TestSubstitutions:
         assert st.c[1] == 0 and st.c[3] == 3
         assert st.adj[1].get(3) == -1 and st.adj[3].get(1) == -1
         assert st.status[2] == COMPLEMENT_OF and st.identity_log == [(2, COMPLEMENT_OF, 1)]
-        st.check_consistency()
+        check_consistency(st)
         # both problems have optimum 4
-        assert brute_force_solve(st.snapshot()).optimum == 4
+        assert brute_force_solve(snapshot(st)).optimum == 4
         assert brute_force_solve(TRIPLE).optimum == 4
 
     def test_complement_two_vars(self):
@@ -103,7 +138,7 @@ class TestSubstitutions:
         st.apply_substitution_complement(1, 2)
         assert st.offset == 1 and st.c[1] == 0
         assert not st.adj[1]
-        assert brute_force_solve(st.snapshot()).optimum == 1
+        assert brute_force_solve(snapshot(st)).optimum == 1
 
     def test_complement_isolated_partner(self):
         inst = build_from_triplets(3, [(1, 1, 2), (2, 2, 5), (1, 3, 1)])
@@ -111,21 +146,21 @@ class TestSubstitutions:
         st.apply_substitution_complement(1, 2)  # 2 has no neighbours
         assert st.offset == 5 and st.c[1] == -3
         assert st.adj[1] == {3: 1}
-        st.check_consistency()
+        check_consistency(st)
 
     def test_equal_two_vars(self):
         st = init_state(two_var(-1, -1, 2))
         st.apply_substitution_equal(1, 2)
         assert st.c[1] == 0 and not st.adj[1]
         assert st.status[2] == SAME_AS and st.identity_log == [(2, SAME_AS, 1)]
-        assert brute_force_solve(st.snapshot()).optimum == 0
+        assert brute_force_solve(snapshot(st)).optimum == 0
 
     def test_equal_without_edge(self):
         inst = build_from_triplets(2, [(2, 2, 5)])
         st = init_state(inst)
         st.apply_substitution_equal(1, 2)
         assert st.c[1] == 5
-        st.check_consistency()
+        check_consistency(st)
 
     def test_equal_cancels_edge_to_zero(self):
         inst = build_from_triplets(
@@ -135,8 +170,8 @@ class TestSubstitutions:
         st.apply_substitution_equal(1, 2)
         assert st.c[1] == 0
         assert 3 not in st.adj[1] and 1 not in st.adj[3]  # 1 + (-1) dropped
-        st.check_consistency()
-        assert (brute_force_solve(st.snapshot()).optimum
+        check_consistency(st)
+        assert (brute_force_solve(snapshot(st)).optimum
                 == restricted_optimum(inst, lambda x: x[0] == x[1]))
 
     def test_substitutions_preserve_restricted_optimum(self):
@@ -152,8 +187,8 @@ class TestSubstitutions:
             else:
                 st.apply_substitution_equal(i, h)
                 want = restricted_optimum(inst, lambda x: x[i - 1] == x[h - 1])
-            st.check_consistency()
-            assert brute_force_solve(st.snapshot()).optimum == want
+            check_consistency(st)
+            assert brute_force_solve(snapshot(st)).optimum == want
 
 
 class TestRecomputeRowExtremes:
@@ -172,7 +207,7 @@ class TestRecomputeRowExtremes:
         st = init_state(inst)
         st.apply_fix(2, 0)  # drops the arg-max edge of row 1
         assert (st.max_val[1], st.max_arg[1]) == (3, 3)
-        fresh = init_state(st.snapshot())
+        fresh = init_state(snapshot(st))
         assert (fresh.max_val[1], fresh.max_arg[1]) == (3, 3)
 
 
@@ -200,7 +235,7 @@ class TestBookkeepingInvariants:
                         st.apply_substitution_equal(i, h)
                 live_before -= 1
                 assert st.live_count == live_before
-            st.check_consistency()
+            check_consistency(st)
 
     def test_complement_compensation_switch_changes_result(self, request):
         # degree-2 eliminated variable: the d_hj compensation term matters
