@@ -153,25 +153,36 @@ def read_log(path, parse):
         raise ValueError(f"malformed log document: {type(exc).__name__}: {exc}") from exc
 
 
+def _field(doc: dict, key: str, kind: type = list):
+    """``doc[key]``, which the log format makes an array (or an object, for dict).
+
+    Raises TypeError for any other JSON value: a string would iterate.
+    """
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
     return engine.SolutionMap(
-        assignments=[(int(v), int(val)) for v, val in doc["assignments"]],
+        assignments=[(int(v), int(val)) for v, val in _field(doc, "assignments")],
         identities=[
             (int(dropped), _IDENTITY_CODES[kind], int(kept))
-            for dropped, kind, kept in doc["identities"]
+            for dropped, kind, kept in _field(doc, "identities")
         ],
-        survivors=[int(v) for v in doc["survivors"]],
+        survivors=[int(v) for v in _field(doc, "survivors")],
     )
 
 
 def report_from_document(doc: dict) -> RunReport:
     return RunReport(
         n=int(doc["original_n"]),
-        survivors=len(doc["survivors"]),
+        survivors=len(_field(doc, "survivors")),
         passes=int(doc["passes"]),
-        pass_drops=[int(d) for d in doc["pass_drops"]],
-        per_rule_counts={r: int(c) for r, c in dict(doc["per_rule_counts"]).items()},
-        inequality_count=len(doc["inequalities"]),
+        pass_drops=[int(d) for d in _field(doc, "pass_drops")],
+        per_rule_counts={r: int(c) for r, c in _field(doc, "per_rule_counts", dict).items()},
+        inequality_count=len(_field(doc, "inequalities")),
         offset=int(doc["offset"]),
         wall_time_s=float(doc["wall_time_s"]),
     )

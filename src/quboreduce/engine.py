@@ -109,10 +109,10 @@ def reconstruct_solution(
 class ResidualScheduler:
     """Screen flags for the residual substitution sweep.
 
-    Each flag says whether v's extreme edge of one sign reaches one of v's
-    slacks (see :func:`rules.slacks`); no other edge of that sign can.  a and
-    b test w_v and u_v against the most negative edge, c and d test u_v and
-    w_v against the most positive one.  A substitution threshold in
+    Each flag says whether v's extreme edge value of one sign reaches one of
+    v's slacks (see :func:`rules.slacks`); no other value of that sign can.
+    a and b test w_v and u_v against the most negative value, c and d test
+    u_v and w_v against the most positive one.  A substitution threshold in
     :data:`rules.PAIR_RULES` is the larger of two minima of endpoint slacks,
     so the complement rule can fire on (i, h) only if (a_i or a_h) and
     (b_i or b_h), and the equality rule only if (c_i or d_h) and (d_i or c_h).
@@ -178,10 +178,6 @@ class _Reducer:
         self.stamps = [-1] * (state.n + 1)
         # The set-up screen serves the first pass only.
         self.screen: tuple[list[int], list[int]] | None = state.setup_screen
-        # Both orientations of the edges the residual sweep's rules rejected
-        # on the state as it was at event count _rejected_at.
-        self._rejected: set[tuple[int, int]] = set()
-        self._rejected_at = -1
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -199,13 +195,15 @@ class _Reducer:
     def _mine(self, pass_no: int, i: int, h: int) -> None:
         s = self.s
         a, b = (i, h) if i < h else (h, i)
-        extreme_arg = s.max_arg if s.adj[a][b] > 0 else s.min_arg
+        d = s.adj[a][b]
+        extreme = s.max_val if d > 0 else s.min_val
         for verdict in rules.derive_pair_inequalities(s, a, b):
             # A verdict is recorded only where its condition is loosest: at
-            # its endpoint's extreme edge of the edge's sign.
+            # its endpoint's extreme edge of the edge's sign, and among edges
+            # tied there, at the one to the smallest neighbour.
             endpoint = rules.PAIR_RULES_BY_ID[verdict.rule_id].endpoint
             v, w = (a, b) if endpoint == "i" else (b, a)
-            if extreme_arg[v] != w:
+            if d != extreme[v] or min(k for k, x in s.adj[v].items() if x == d) != w:
                 continue
             self.log.inequality_records.append(InequalityRecord(
                 pass_no, verdict, rules.m_lower_bound(s, verdict), s.events
@@ -294,12 +292,8 @@ class _Reducer:
         a hit can leave them stale.  A stale flag either lets through an
         edge that the rule then rejects, or hides one, which the next sweep
         finds.  A sweep that finds nothing ran on fresh flags throughout, so
-        after it no substitution fires anywhere.
-
-        Edges that fail :func:`rules.pair_may_fire` are not tested.  Nor is
-        an edge the rules rejected while the event count was what it is
-        now: the state is then the same, and both rules are symmetric in
-        (i, h).
+        after it no substitution fires anywhere.  Edges that fail
+        :func:`rules.pair_may_fire` are not tested.
         """
         s = self.s
         sched = self.sched
@@ -307,37 +301,29 @@ class _Reducer:
         status, adj = s.status, s.adj
         a, b = sched.a_flag, sched.b_flag
         c, d = sched.c_flag, sched.d_flag
-        rejected = self._rejected
-        if self._rejected_at != s.events:
-            rejected.clear()
         hits = 0
         for i in sched.ab_list:
             if status[i] != FREE:
                 continue
             for h, w in adj[i].items():
                 if (w < 0 and (a[i] or a[h]) and (b[i] or b[h])
-                        and (i, h) not in rejected and rules.pair_may_fire(s, i, h)):
+                        and rules.pair_may_fire(s, i, h)):
                     verdict = rules.rule_complement_pair(s, i, h)
                     if verdict is not None:
                         self._residual_hit(pass_no, verdict)
-                        rejected.clear()
                         hits += 1
                         break
-                    rejected.update(((i, h), (h, i)))
         for i in sched.cd_list:
             if status[i] != FREE:
                 continue
             for h, w in adj[i].items():
                 if (w > 0 and (c[i] or d[h]) and (d[i] or c[h])
-                        and (i, h) not in rejected and rules.pair_may_fire(s, i, h)):
+                        and rules.pair_may_fire(s, i, h)):
                     verdict = rules.rule_equal_pair(s, i, h)
                     if verdict is not None:
                         self._residual_hit(pass_no, verdict)
-                        rejected.clear()
                         hits += 1
                         break
-                    rejected.update(((i, h), (h, i)))
-        self._rejected_at = s.events
         return hits
 
 

@@ -19,7 +19,7 @@ from math import ceil, comb, floor
 
 import numpy as np
 
-from .model import QuboInstance
+from .model import EdgeTable, QuboInstance
 
 
 @dataclass(frozen=True)
@@ -249,10 +249,8 @@ def generate_instance(spec: GeneratorSpec) -> QuboInstance:
             lvals[chosen] *= spec.linear_multiplier
         linear = {int(v): int(w) for v, w in zip(nodes, lvals)}
 
-    quadratic = {
-        (int(a), int(b)): int(w) for (a, b), w in zip(edges, weights)
-    }
-    return QuboInstance(n, linear, quadratic, 0)
+    lo, hi = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return QuboInstance(n, linear, EdgeTable(lo, hi, weights), 0)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import re
+import sys
 from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -136,6 +137,8 @@ class QuboInstance:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"variable count must be nonnegative, got {self.n}")
+        if self.n >= sys.maxsize:  # rows are indexed 0..n
+            raise ValueError(f"variable count {self.n} exceeds the index range")
         for i, v in self.linear.items():
             if not 1 <= i <= self.n:
                 raise ValueError(f"linear index {i} outside 1..{self.n}")
@@ -368,6 +371,9 @@ def _parse_lines(lines: Iterable[str]):
                 n = int(tok[2])
                 if n < 0:
                     raise QuboFormatError(f"line {lineno}: negative variable count")
+                if n >= sys.maxsize:
+                    raise QuboFormatError(
+                        f"line {lineno}: variable count {n} exceeds the index range")
                 continue
             if n is None:
                 raise QuboFormatError(f"line {lineno}: data before 'p qubo <n>' line")

@@ -2,8 +2,8 @@
 
 Holds a working copy of the instance plus the bookkeeping the rules read:
 per-variable sums of negative/positive incident edge weights (``d_minus`` /
-``d_plus``), the extreme incident edge on each side with its neighbour index
-(``min_val``/``min_arg``, ``max_val``/``max_arg``), per-variable status, and
+``d_plus``), the extreme incident edge value on each side (``min_val``,
+``max_val``; 0 on a side without edges), per-variable status, and
 ``touched``, the event count of each row's last change, from which the engine
 tells which rows need examining again.  All mutation goes through
 ``apply_fix`` and the two substitution operations, which keep every derived
@@ -40,7 +40,7 @@ class ReductionState:
 
     __slots__ = (
         "n", "offset", "c", "adj", "d_minus", "d_plus",
-        "min_val", "min_arg", "max_val", "max_arg",
+        "min_val", "max_val",
         "status", "live_count", "events", "touched",
         "assignment_log", "identity_log", "setup_edges", "setup_screen",
     )
@@ -66,8 +66,7 @@ class ReductionState:
         row, nbr, val = ends[perm], ends[perm ^ 1], d.astype(dtype, copy=False)[perm >> 1]
         del ends, perm
         # Per row with edges: the sums of its negative and positive values,
-        # and its smallest (largest) value if negative (positive), at its
-        # smallest neighbour of that value; 0 and 0 otherwise.
+        # and its smallest (largest) value if negative (positive), else 0.
         full = counts.nonzero()[0]
         at = (counts.cumsum() - counts)[full]  # the rows' first entries
         neg, pos = np.minimum(val, 0), np.maximum(val, 0)
@@ -76,12 +75,7 @@ class ReductionState:
         d_minus[full], d_plus[full] = np.add.reduceat(neg, at), np.add.reduceat(pos, at)
         min_val[full], max_val[full] = np.minimum.reduceat(neg, at), np.maximum.reduceat(pos, at)
         del neg, pos
-        args = np.zeros((2, n + 1), dtype=np.int64)
-        for ext, arg in zip((min_val, max_val), args):
-            arg[full] = np.minimum.reduceat(np.where(val == ext[row], nbr, n + 1), at)
-        args %= n + 1
         self.d_minus, self.d_plus, self.min_val, self.max_val = stats.tolist()
-        self.min_arg, self.max_arg = args.tolist()
         # True while an edge's rows stay untouched: the set-up edges, and the
         # neighbours that pass the screen of rules.pair_may_fire, |d| >=
         # min(u, w) at either end, row v's at first[v]:first[v + 1].
@@ -119,21 +113,14 @@ class ReductionState:
 
     def recompute_row_extremes(self, j: int) -> None:
         """Rescan row j for its extreme positive and negative edge values."""
-        mx = mxa = mn = mna = 0
-        for k, d in self.adj[j].items():
-            if d > 0:
-                if mxa == 0 or d > mx or (d == mx and k < mxa):
-                    mx, mxa = d, k
-            elif mna == 0 or d < mn or (d == mn and k < mna):
-                mn, mna = d, k
-        self.max_val[j], self.max_arg[j] = mx, mxa
-        self.min_val[j], self.min_arg[j] = mn, mna
+        row = self.adj[j].values()
+        self.max_val[j] = max(max(row, default=0), 0)
+        self.min_val[j] = min(min(row, default=0), 0)
 
     def _clear_row(self, i: int) -> None:
         self.c[i] = 0
         self.d_minus[i] = self.d_plus[i] = 0
-        self.max_val[i] = self.max_arg[i] = 0
-        self.min_val[i] = self.min_arg[i] = 0
+        self.max_val[i] = self.min_val[i] = 0
 
     def _require_free(self, i: int) -> None:
         if self.status[i] != FREE:
@@ -164,11 +151,11 @@ class ReductionState:
                 self.c[j] += d
             if d < 0:
                 self.d_minus[j] -= d
-                if self.min_arg[j] == i:
+                if d == self.min_val[j]:
                     self.recompute_row_extremes(j)
             else:
                 self.d_plus[j] -= d
-                if self.max_arg[j] == i:
+                if d == self.max_val[j]:
                     self.recompute_row_extremes(j)
         self._clear_row(i)
         self.status[i] = FIXED_ONE if value else FIXED_ZERO
@@ -228,17 +215,15 @@ class ReductionState:
                 else:
                     self.d_plus[i] += new
                     self.d_plus[j] += new
-            if (self.max_arg[j] == h or self.max_arg[j] == i
-                    or self.min_arg[j] == h or self.min_arg[j] == i):
+            # A removed value at j's extreme calls for a rescan; a new one
+            # past it is the extreme.
+            ext = (self.max_val[j], self.min_val[j])
+            if dhj in ext or (old and old in ext):
                 self.recompute_row_extremes(j)
-            elif new > 0:
-                if (self.max_arg[j] == 0 or new > self.max_val[j]
-                        or (new == self.max_val[j] and i < self.max_arg[j])):
-                    self.max_val[j], self.max_arg[j] = new, i
-            elif new < 0:
-                if (self.min_arg[j] == 0 or new < self.min_val[j]
-                        or (new == self.min_val[j] and i < self.min_arg[j])):
-                    self.min_val[j], self.min_arg[j] = new, i
+            elif new > self.max_val[j]:
+                self.max_val[j] = new
+            elif new < self.min_val[j]:
+                self.min_val[j] = new
         self.recompute_row_extremes(i)
 
     def apply_substitution_complement(self, i: int, h: int) -> None:

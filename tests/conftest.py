@@ -144,8 +144,7 @@ def legacy_state(instance: QuboInstance) -> ReductionState:
         st.adj[i][j] = d
         st.adj[j][i] = d
     st.d_minus, st.d_plus = [0] * (n + 1), [0] * (n + 1)
-    st.min_val, st.min_arg = [0] * (n + 1), [0] * (n + 1)
-    st.max_val, st.max_arg = [0] * (n + 1), [0] * (n + 1)
+    st.min_val, st.max_val = [0] * (n + 1), [0] * (n + 1)
     for i in range(1, n + 1):
         st.d_minus[i] = sum(d for d in st.adj[i].values() if d < 0)
         st.d_plus[i] = sum(d for d in st.adj[i].values() if d > 0)
@@ -172,30 +171,26 @@ def check_consistency(st: ReductionState) -> None:
             assert not st.adj[i], f"dead variable {i} retains edges"
             assert st.c[i] == 0 and st.d_minus[i] == 0 and st.d_plus[i] == 0
             continue
-        neg = pos = 0
-        mx = mxa = mn = mna = 0
+        neg = pos = mx = mn = 0
         for j, d in st.adj[i].items():
             assert d != 0, f"zero edge stored at ({i}, {j})"
             assert st.status[j] == FREE, f"edge ({i}, {j}) to dead variable"
             assert st.adj[j].get(i) == d, f"asymmetric edge ({i}, {j})"
             if d < 0:
                 neg += d
-                if mna == 0 or d < mn or (d == mn and j < mna):
-                    mn, mna = d, j
+                mn = min(mn, d)
             else:
                 pos += d
-                if mxa == 0 or d > mx or (d == mx and j < mxa):
-                    mx, mxa = d, j
+                mx = max(mx, d)
         assert st.d_minus[i] == neg, f"d_minus[{i}]={st.d_minus[i]} != {neg}"
         assert st.d_plus[i] == pos, f"d_plus[{i}]={st.d_plus[i]} != {pos}"
-        assert (st.max_val[i], st.max_arg[i]) == (mx, mxa), f"max extreme of row {i} stale"
-        assert (st.min_val[i], st.min_arg[i]) == (mn, mna), f"min extreme of row {i} stale"
+        assert st.max_val[i] == mx, f"max extreme of row {i} stale"
+        assert st.min_val[i] == mn, f"min extreme of row {i} stale"
 
 
 LEGACY_SLOTS = (
-    "n", "offset", "c", "d_minus", "d_plus", "min_val", "min_arg", "max_val",
-    "max_arg", "status", "live_count", "events", "touched", "assignment_log",
-    "identity_log",
+    "n", "offset", "c", "d_minus", "d_plus", "min_val", "max_val", "status",
+    "live_count", "events", "touched", "assignment_log", "identity_log",
 )
 
 

@@ -194,6 +194,17 @@ class TestReduceVerify:
     def test_unreadable_input(self, tmp_path):
         assert run(["reduce", tmp_path / "missing.qubo"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("p qubo 9223372036854775807\n", id="2^63-1"),
+        pytest.param("p qubo 9223372036854775807\nq 1 2 3\n", id="2^63-1-with-q"),
+        pytest.param("p qubo 100000000000000000000\n", id="10^20"),
+    ])
+    def test_variable_count_past_index_range_is_input_error(self, tmp_path, capsys, text):
+        src = tmp_path / "huge.qubo"
+        src.write_text(text)
+        assert run(["reduce", src]) == 2
+        assert "exceeds the index range" in capsys.readouterr().err
+
     def test_non_utf8_input_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.qubo"
         bad.write_bytes(b"p qubo 2\n\xff\n")
@@ -293,6 +304,22 @@ class TestReduceVerify:
         log.write_text("[" * 100_000)
         assert run(["verify", src, src, log]) == 2
         assert capsys.readouterr().err.startswith("error: malformed log document")
+
+    def test_verify_rejects_string_survivors(self, tmp_path, capsys):
+        # the triple reduces to nothing, so an empty string iterates like []
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        doc = json.loads(log.read_text())
+        assert doc["survivors"] == []
+        log.write_text(json.dumps({**doc, "survivors": ""}))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed log document" in captured.err
+        assert "verified" not in captured.out
 
     @pytest.mark.parametrize("fmt", ["bogus/9", None])
     def test_verify_rejects_unknown_log_format(self, tmp_path, capsys, fmt):
@@ -418,6 +445,10 @@ class TestReport:
         pytest.param(_log_text(original_n=None), id="original_n=null"),
         pytest.param(_log_text(pass_drops=["a"]), id="pass_drops=[a]"),
         pytest.param(_log_text(per_rule_counts=[1]), id="per_rule_counts=[1]"),
+        pytest.param(_log_text(pass_drops="907"), id="pass_drops=string"),
+        pytest.param(_log_text(survivors=""), id="survivors=string"),
+        pytest.param(_log_text(inequalities=""), id="inequalities=string"),
+        pytest.param(_log_text(per_rule_counts=[["R1_0", 2]]), id="per_rule_counts=pairs"),
     ])
     def test_report_malformed_document(self, tmp_path, capsys, text):
         log = tmp_path / "bad.json"

@@ -235,18 +235,11 @@ class TestResidual:
                     assert rules.rule_complement_pair(state, i, h) is None
                     assert rules.rule_equal_pair(state, i, h) is None
 
-    def test_sweeps_test_each_edge_once_per_state(self, monkeypatch):
+    def test_residual_run_is_pinned(self):
         # generate --size 2000 --edges 20000 --seed 42 --design-row 3
         spec = GeneratorSpec.from_design(2000, 20000, design_table()[2], seed=42)
-        inst = generate_instance(spec)
-        calls = []
-        for name in ("rule_complement_pair", "rule_equal_pair"):
-            def counted(st, i, h, rule=getattr(rules, name)):
-                calls.append((min(i, h), max(i, h), st.events))
-                return rule(st, i, h)
-            monkeypatch.setattr(rules, name, counted)
-        _, log, _ = run_to_fixed_point(inst)
-        assert calls and len(calls) == len(set(calls))
+        _, log, _ = run_to_fixed_point(generate_instance(spec))
+        assert any(ev.verdict.rule_id in (rules.R2_5, rules.R2_6) for ev in log.events)
         # The run's events in order: a change of scheduling order shows here.
         events = repr([(ev.pass_number, ev.verdict, ev.live_after) for ev in log.events])
         assert len(log.events) == 377
@@ -312,6 +305,26 @@ class TestInstrumentation:
             assert len(probed_rows) == len(set(probed_rows))
             total += len(probed_rows)
         assert total > 10000
+
+    def test_tied_extreme_edges_record_at_smallest_neighbour(self, probes):
+        # Row 1's largest value, 3, sits on its edges to 2 and 3.  Both pairs
+        # are probed without a pair fix and both yield row 1's R1_1 verdict,
+        # which is recorded once: at the smaller neighbour, 2.
+        inst = build_from_triplets(4, [
+            (1, 1, -1), (2, 2, -6), (3, 3, -6), (4, 4, -6), (1, 2, 3), (1, 3, 3),
+            (1, 4, 2), (2, 3, 8), (2, 4, -8), (3, 4, 8)])
+        st = init_state(inst)
+        for w in (2, 3):
+            verdict = rules.RuleVerdict(
+                rules.R1_1, rules.Inequality(rules.InequalityKind.H_LE_I, 1, w), True)
+            assert verdict in rules.derive_pair_inequalities(st, 1, w)
+        probes.clear()
+        _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+        assert not log.events
+        assert {(min(i, h), max(i, h)) for _, i, h, _ in probes} >= {(1, 2), (1, 3)}
+        row_1 = [r.verdict.conclusion for r in log.inequality_records
+                 if r.verdict.rule_id == rules.R1_1 and r.verdict.conclusion.i == 1]
+        assert [c.h for c in row_1] == [2]
 
     def test_pair_fix_ends_the_turn(self, probes):
         # after a pair-assignment fires for i, no further partner of i is

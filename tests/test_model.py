@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ class TestBuildFromTriplets:
             QuboInstance(2, {1: 0}, {}, 0)
         with pytest.raises(ValueError):
             QuboInstance(2, {}, {(2, 1): 3}, 0)
+
+    def test_variable_count_past_index_range_rejected_by_constructor(self):
+        # a state indexes its rows 0..n
+        with pytest.raises(ValueError, match="exceeds the index range"):
+            QuboInstance(sys.maxsize, {}, {}, 0)
 
 
 class TestEvaluate:

@@ -27,14 +27,13 @@ class TestInitState:
         st = init_state(two_var(1, 1, -2))
         assert st.d_minus[1:] == [-2, -2]
         assert st.d_plus[1:] == [0, 0]
-        assert (st.min_val[1], st.min_arg[1]) == (-2, 2)
-        assert (st.min_val[2], st.min_arg[2]) == (-2, 1)
-        assert st.max_arg[1] == 0 and st.max_arg[2] == 0
+        assert st.min_val[1:] == [-2, -2]
+        assert st.max_val[1:] == [0, 0]
 
     def test_edgeless(self):
         st = init_state(build_from_triplets(3, [(1, 1, 5)]))
         assert st.d_minus[1:] == [0, 0, 0] and st.d_plus[1:] == [0, 0, 0]
-        assert all(st.max_arg[i] == 0 and st.min_arg[i] == 0 for i in (1, 2, 3))
+        assert st.max_val[1:] == [0, 0, 0] and st.min_val[1:] == [0, 0, 0]
 
     def test_mixed_triple(self):
         st = init_state(TRIPLE)
@@ -70,7 +69,7 @@ class TestArrayBuild:
         big = 2**62 + 5
         inst = QuboInstance(3, {}, {(1, 2): big, (1, 3): big}, 0)
         st = ReductionState(inst)
-        assert st.d_plus[1] == 2 * big and st.max_val[1] == big and st.max_arg[1] == 2
+        assert st.d_plus[1] == 2 * big and st.max_val[1] == big and st.min_val[1] == 0
 
 
 class TestApplyFix:
@@ -79,7 +78,7 @@ class TestApplyFix:
         st.apply_fix(1, 1)
         assert st.offset == 3
         assert st.c[2] == 0
-        assert st.d_plus[2] == 0 and st.max_arg[2] == 0
+        assert st.d_plus[2] == 0 and st.max_val[2] == 0
         assert not st.adj[1] and not st.adj[2]
         check_consistency(st)
 
@@ -195,20 +194,41 @@ class TestRecomputeRowExtremes:
     def test_mixed_row(self):
         inst = build_from_triplets(3, [(1, 2, 3), (1, 3, -1)])
         st = init_state(inst)
-        assert (st.max_val[1], st.max_arg[1]) == (3, 2)
-        assert (st.min_val[1], st.min_arg[1]) == (-1, 3)
+        assert (st.max_val[1], st.min_val[1]) == (3, -1)
 
     def test_only_positive_edges(self):
         st = init_state(build_from_triplets(3, [(1, 2, 3), (1, 3, 1)]))
-        assert st.min_arg[1] == 0
+        assert (st.max_val[1], st.min_val[1]) == (3, 0)
 
     def test_extreme_falls_to_second_largest_after_drop(self):
         inst = build_from_triplets(3, [(1, 2, 5), (1, 3, 3)])
         st = init_state(inst)
-        st.apply_fix(2, 0)  # drops the arg-max edge of row 1
-        assert (st.max_val[1], st.max_arg[1]) == (3, 3)
+        st.apply_fix(2, 0)  # drops the largest edge of row 1
+        assert st.max_val[1] == 3
         fresh = init_state(snapshot(st))
-        assert (fresh.max_val[1], fresh.max_arg[1]) == (3, 3)
+        assert fresh.max_val[1] == 3
+
+    def test_tied_extreme_outlives_one_of_its_edges(self):
+        st = init_state(build_from_triplets(4, [(1, 2, 5), (1, 3, 5), (1, 4, 3)]))
+        st.apply_fix(2, 0)
+        assert st.max_val[1] == 5
+        check_consistency(st)
+        st.apply_fix(3, 1)
+        assert st.max_val[1] == 3
+        check_consistency(st)
+
+    @pytest.mark.parametrize("substitute, d14", [
+        ("apply_substitution_equal", 3), ("apply_substitution_complement", -3)])
+    def test_merged_edge_lands_on_the_extreme(self, substitute, d14):
+        # x_4 := x_3 (or 1 - x_3) folds d_14 into d_13 = 2, which becomes 5:
+        # row 1's largest value, which its edge to 2 also holds
+        st = init_state(build_from_triplets(4, [(1, 2, 5), (1, 3, 2), (1, 4, d14)]))
+        getattr(st, substitute)(3, 4)
+        assert st.adj[1] == {2: 5, 3: 5} and st.max_val[1] == 5
+        check_consistency(st)
+        st.apply_fix(2, 0)
+        assert st.max_val[1] == 5
+        check_consistency(st)
 
 
 class TestBookkeepingInvariants:
