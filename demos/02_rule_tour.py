@@ -4,14 +4,14 @@ Every rule compares exact coefficient bounds: the value a variable can
 contribute lies between c_i + D_i^- (all hostile neighbours on) and
 c_i + D_i^+ (all friendly neighbours on).  Whenever such a bound crosses
 zero, a variable or a pair of variables can be resolved without losing any
-optimal solution.
+optimal solution.  Each pair rule is one row of the table ``PAIR_RULES``;
+a row's ``probe`` fires it on one edge of a state.
 """
 
 from quboreduce import brute_force_solve, build_from_triplets, init_state
 from quboreduce.rules import (
-    derive_pair_inequalities, m_lower_bound, rule_complement_pair,
-    rule_equal_pair, rule_fix_one, rule_fix_zero, rule_pair_one,
-    rule_pair_one_zero, rule_pair_zero,
+    PAIR_RULES_BY_ID as ROW, derive_pair_inequalities, m_lower_bound,
+    rule_fix_one, rule_fix_zero,
 )
 
 
@@ -44,23 +44,23 @@ show("fix to zero", inst, rule_fix_zero(init_state(inst), 1))
 # a single variable via x2 = 1 - x1.
 inst = pair(1, 1, -2)
 st = init_state(inst)
-show("complement substitution", inst, rule_complement_pair(st, 1, 2))
+show("complement substitution", inst, ROW["R2_5"].probe(st, 1, 2))
 for v in derive_pair_inequalities(st, 1, 2):
     print(f"    mined {v.rule_id}: {v.conclusion.kind.value}"
           f"  (penalty weight must exceed {m_lower_bound(st, v)})")
 
 # An aligned pair: positive coupling, mildly negative weights.
 inst = pair(-1, -1, 2)
-show("equality substitution", inst, rule_equal_pair(init_state(inst), 1, 2))
+show("equality substitution", inst, ROW["R2_6"].probe(init_state(inst), 1, 2))
 
 # Pair assignments decide two variables at once.
 inst = pair(-2, -2, 3)
-show("pair to (0, 0)", inst, rule_pair_zero(init_state(inst), 1, 2))
+show("pair to (0, 0)", inst, ROW["R3_1"].probe(init_state(inst), 1, 2))
 
 inst = pair(-1, -1, 3)
-show("pair to (1, 1)", inst, rule_pair_one(init_state(inst), 1, 2))
+show("pair to (1, 1)", inst, ROW["R3_4"].probe(init_state(inst), 1, 2))
 
 inst = pair(2, 1, -3)
 show("pair to (1, 0)", inst,
-     rule_pair_one_zero(init_state(inst), 1, 2),
-     rule_pair_one_zero(init_state(inst), 2, 1))
+     ROW["R3_2"].probe(init_state(inst), 1, 2),
+     ROW["R3_2"].probe(init_state(inst), 2, 1))

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import engine, generator, oracle, rules
 from .model import QuboInstance, read_instance, write_instance
@@ -29,41 +28,6 @@ from .state import COMPLEMENT_OF, SAME_AS
 _IDENTITY_NAMES = {SAME_AS: "same", COMPLEMENT_OF: "complement"}
 _IDENTITY_CODES = {v: k for k, v in _IDENTITY_NAMES.items()}
 LOG_FORMAT = "quboreduce-log/1"
-
-
-@dataclass
-class RunReport:
-    """Human/JSON summary of one reduction run."""
-
-    n: int
-    survivors: int
-    passes: int
-    pass_drops: list[int]
-    per_rule_counts: dict[str, int]
-    inequality_count: int
-    offset: int
-    wall_time_s: float
-
-    @property
-    def percent_reduction(self) -> float:
-        return 0.0 if self.n == 0 else 100.0 * (self.n - self.survivors) / self.n
-
-    def table(self) -> str:
-        lines = [
-            f"variables        {self.n} -> {self.survivors}"
-            f"  ({self.percent_reduction:.1f}% reduction)",
-            f"passes           {self.passes}",
-            f"drops per pass   {' '.join(str(d) for d in self.pass_drops)}",
-            f"offset           {self.offset}",
-            f"inequalities     {self.inequality_count}",
-            f"wall time        {self.wall_time_s:.3f}s",
-            "rule             firings",
-        ]
-        for rid in rules.ALL_RULE_IDS:
-            count = self.per_rule_counts.get(rid, 0)
-            if count:
-                lines.append(f"  {rid:<14} {count}")
-        return "\n".join(lines)
 
 
 def _conclusion_json(concl) -> dict:
@@ -175,17 +139,22 @@ def solution_map_from_document(doc: dict) -> engine.SolutionMap:
     )
 
 
-def report_from_document(doc: dict) -> RunReport:
-    return RunReport(
-        n=int(doc["original_n"]),
-        survivors=len(_field(doc, "survivors")),
-        passes=int(doc["passes"]),
-        pass_drops=[int(d) for d in _field(doc, "pass_drops")],
-        per_rule_counts={r: int(c) for r, c in _field(doc, "per_rule_counts", dict).items()},
-        inequality_count=len(_field(doc, "inequalities")),
-        offset=int(doc["offset"]),
-        wall_time_s=float(doc["wall_time_s"]),
-    )
+def report_table(doc: dict) -> str:
+    """The run summary that ``reduce`` and ``report`` print, from a log document."""
+    n, survivors = int(doc["original_n"]), len(_field(doc, "survivors"))
+    percent = 0.0 if n == 0 else 100.0 * (n - survivors) / n
+    counts = {r: int(c) for r, c in _field(doc, "per_rule_counts", dict).items()}
+    lines = [
+        f"variables        {n} -> {survivors}  ({percent:.1f}% reduction)",
+        f"passes           {int(doc['passes'])}",
+        f"drops per pass   {' '.join(str(int(d)) for d in _field(doc, 'pass_drops'))}",
+        f"offset           {int(doc['offset'])}",
+        f"inequalities     {len(_field(doc, 'inequalities'))}",
+        f"wall time        {float(doc['wall_time_s']):.3f}s",
+        "rule             firings",
+    ]
+    lines += [f"  {rid:<14} {counts[rid]}" for rid in rules.ALL_RULE_IDS if counts.get(rid)]
+    return "\n".join(lines)
 
 
 def to_dense_ids(reduced: QuboInstance, survivors: list[int]) -> QuboInstance:
@@ -266,7 +235,7 @@ def cmd_reduce(args) -> int:
             write_instance(reduced, out_fh, ids=solution_map.survivors, n=original.n)
         if log_fh:
             json.dump(doc, log_fh, indent=1)
-    print(report_from_document(doc).table())
+    print(report_table(doc))
     return 0
 
 
@@ -322,7 +291,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    print(read_log(args.log, report_from_document).table())
+    print(read_log(args.log, report_table))
     return 0
 
 

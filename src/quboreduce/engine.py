@@ -8,9 +8,10 @@ that pass the slack screen :func:`rules.pair_may_fire`.  A pair with a dirty
 endpoint is probed when that endpoint's turn comes, so when no row is dirty
 no fix or pair rule fires anywhere.  Once a pass drops nothing, a residual
 sweep applies the complement and equality substitutions: per-variable flags
-screen the edges, and the general predicates of :mod:`rules` decide each
-one.  One sweep applies every substitution it finds; if it found any, the
-passes resume, and the whole loop repeats until truly nothing fires.
+screen the edges, and the substitution rows of :data:`rules.PAIR_RULES`
+decide each one.  One sweep applies every substitution it finds; if it
+found any, the passes resume, and the whole loop repeats until truly
+nothing fires.
 
 The first pass walks a row's neighbours from the set-up screen while the
 row and its clean neighbours are untouched: the same probes, fewer tests.
@@ -210,21 +211,19 @@ class _Reducer:
             ))
 
     def _try_pair(self, pass_no: int, i: int, h: int) -> rules.RuleVerdict | None:
-        """Probe (i, h) with the pair-assignment rules of the edge's sign.
+        """Probe (i, h) with the pair-assignment rules of the edge's sign, in table order.
 
         Returns the applied verdict, which fixes both variables, or None.
         """
         s = self.s
-        if s.adj[i][h] > 0:
-            v = rules.rule_pair_zero(s, i, h) or rules.rule_pair_one(s, i, h)
-        else:
-            v = rules.rule_pair_one_zero(s, i, h) or rules.rule_pair_zero_one(s, i, h)
-        if v is None:
-            if self.emit_inequalities:
-                self._mine(pass_no, i, h)
-            return None
-        self._apply(pass_no, v)
-        return v
+        for rule in rules.PAIR_ASSIGNMENTS[s.adj[i][h] > 0]:
+            v = rule.probe(s, i, h)
+            if v is not None:
+                self._apply(pass_no, v)
+                return v
+        if self.emit_inequalities:
+            self._mine(pass_no, i, h)
+        return None
 
     # -- passes -------------------------------------------------------------
 
@@ -285,14 +284,14 @@ class _Reducer:
 
         Each listed variable i scans its neighbours h over edges of the
         rule's sign.  Every edge that passes the screen (see
-        :class:`ResidualScheduler`) is tested with
-        :func:`rules.rule_complement_pair` or :func:`rules.rule_equal_pair`
-        on the live state.  A hit eliminates h and ends i's turn, because
-        i's row was just rebuilt.  The flags are computed once per sweep, so
-        a hit can leave them stale.  A stale flag either lets through an
-        edge that the rule then rejects, or hides one, which the next sweep
-        finds.  A sweep that finds nothing ran on fresh flags throughout, so
-        after it no substitution fires anywhere.  Edges that fail
+        :class:`ResidualScheduler`) is tested on the live state by the
+        ``probe`` of that sign's row in :data:`rules.SUBSTITUTION`.  A hit
+        eliminates h and ends i's turn, because i's row was just rebuilt.
+        The flags are computed once per sweep, so a hit can leave them
+        stale.  A stale flag either lets through an edge that the rule then
+        rejects, or hides one, which the next sweep finds.  A sweep that
+        finds nothing ran on fresh flags throughout, so after it no
+        substitution fires anywhere.  Edges that fail
         :func:`rules.pair_may_fire` are not tested.
         """
         s = self.s
@@ -301,6 +300,7 @@ class _Reducer:
         status, adj = s.status, s.adj
         a, b = sched.a_flag, sched.b_flag
         c, d = sched.c_flag, sched.d_flag
+        complement, equal = rules.SUBSTITUTION[False], rules.SUBSTITUTION[True]
         hits = 0
         for i in sched.ab_list:
             if status[i] != FREE:
@@ -308,7 +308,7 @@ class _Reducer:
             for h, w in adj[i].items():
                 if (w < 0 and (a[i] or a[h]) and (b[i] or b[h])
                         and rules.pair_may_fire(s, i, h)):
-                    verdict = rules.rule_complement_pair(s, i, h)
+                    verdict = complement.probe(s, i, h)
                     if verdict is not None:
                         self._residual_hit(pass_no, verdict)
                         hits += 1
@@ -319,7 +319,7 @@ class _Reducer:
             for h, w in adj[i].items():
                 if (w > 0 and (c[i] or d[h]) and (d[i] or c[h])
                         and rules.pair_may_fire(s, i, h)):
-                    verdict = rules.rule_equal_pair(s, i, h)
+                    verdict = equal.probe(s, i, h)
                     if verdict is not None:
                         self._residual_hit(pass_no, verdict)
                         hits += 1

@@ -127,6 +127,12 @@ class GeneratorSpec:
                 raise ValueError(f"{name}={p} outside [0, 1]")
         if self.upper_bound < 1:
             raise ValueError("upper_bound must be positive")
+        for name in ("linear_multiplier", "quadratic_multiplier"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be at least 1")
+        # Coefficients are drawn and multiplied in int64.
+        if self.upper_bound * max(self.linear_multiplier, self.quadratic_multiplier) >= 2**62:
+            raise ValueError("upper_bound times a multiplier must stay below 2^62")
 
 
 def _nonzero_uniform(rng: np.random.Generator, count: int, bound: int) -> np.ndarray:

@@ -9,9 +9,11 @@ optimal solution.
 Every rule compares coefficients with the two slacks of each variable v,
 u_v = c_v + D_v^+ and w_v = -(c_v + D_v^-) (see :func:`slacks`).  A fix
 rule fires when one slack is <= 0.  A pair rule fires on an edge of its sign
-when |d| reaches a threshold over the endpoints' slacks; :data:`PAIR_RULES`
-holds every pair rule as one row, and all pair predicates, the catalog
-enumerator and the penalty bounds read their thresholds from it.
+when |d| reaches a threshold over the endpoints' slacks.  :data:`PAIR_RULES`
+holds every pair rule as one row, in the order the catalog tries them; a
+row's :meth:`PairRule.probe` is the one way to fire it on an edge, and the
+catalog enumerator, the inequality miner and the penalty bounds read their
+thresholds from the same rows.
 """
 
 from __future__ import annotations
@@ -163,6 +165,18 @@ class PairRule:
             return RuleVerdict(self.rule_id, self.conclude(i, h), size > t)
         return None
 
+    def probe(self, state: ReductionState, i: int, h: int) -> RuleVerdict | None:
+        """The verdict on the state's edge (i, h), or None if the rule does not fire.
+
+        An absent edge or one of the other sign fires no rule of this row.
+        """
+        d = state.adj[i].get(h)
+        if d is None or d * self.sign <= 0:
+            return None
+        ui, wi = slacks(state, i)
+        uh, wh = slacks(state, h)
+        return self.judge(abs(d), i, h, ui, wi, uh, wh)
+
     def bound(self, ui: int, wi: int, uh: int, wh: int) -> int:
         """Lower bound on the penalty weight M: max(threshold, 0)."""
         return max(self.threshold(ui, wi, uh, wh), 0)
@@ -194,21 +208,17 @@ PAIR_RULES = (
 
 PAIR_RULES_BY_ID = {rule.rule_id: rule for rule in PAIR_RULES}
 
-# Keyed by d > 0: the rules that reduce an edge of that sign, and the
-# inequality rules that mine it.
+# Keyed by d > 0, in table order: the rules that reduce an edge of that sign;
+# among them the pair assignments, which the scan passes try, and the
+# substitution, which the residual sweep tries; and the rules that mine it.
 _REDUCING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint is None)
              for pos in (True, False)}
+PAIR_ASSIGNMENTS = {pos: tuple(r for r in rows if isinstance(r.conclude(1, 2), PairFix))
+                    for pos, rows in _REDUCING.items()}
+SUBSTITUTION = {pos: next(r for r in rows if not isinstance(r.conclude(1, 2), PairFix))
+                for pos, rows in _REDUCING.items()}
 _MINING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint)
            for pos in (True, False)}
-
-
-def _probe(rule: PairRule, state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    d = state.adj[i].get(h)
-    if d is None or d * rule.sign <= 0:
-        return None
-    ui, wi = slacks(state, i)
-    uh, wh = slacks(state, h)
-    return rule.judge(abs(d), i, h, ui, wi, uh, wh)
 
 
 # --- the slack screen ------------------------------------------------------
@@ -251,36 +261,6 @@ def derive_pair_inequalities(state: ReductionState, i: int, h: int) -> list[Rule
         return []
     slack = (*slacks(state, a), *slacks(state, b))
     return [v for rule in _MINING[d > 0] if (v := rule.judge(abs(d), a, b, *slack))]
-
-
-def rule_complement_pair(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """Rule 2.5: x_i + x_h = 1 when the pair admits both >= 1 and <= 1 on a negative edge."""
-    return _probe(PAIR_RULES_BY_ID[R2_5], state, i, h)
-
-
-def rule_equal_pair(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """Rule 2.6: x_i = x_h when the pair admits both <= and >= directions on a positive edge."""
-    return _probe(PAIR_RULES_BY_ID[R2_6], state, i, h)
-
-
-def rule_pair_zero(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """Rule 3.1: x_i = x_h = 0 when their joint contribution cannot be positive."""
-    return _probe(PAIR_RULES_BY_ID[R3_1], state, i, h)
-
-
-def rule_pair_one_zero(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """Rule 3.2: x_i = 1 and x_h = 0 on a negative edge."""
-    return _probe(PAIR_RULES_BY_ID[R3_2], state, i, h)
-
-
-def rule_pair_zero_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """Rule 3.3: x_i = 0 and x_h = 1 on a negative edge (Rule 3.2 with the roles swapped)."""
-    return _probe(PAIR_RULES_BY_ID[R3_3], state, i, h)
-
-
-def rule_pair_one(state: ReductionState, i: int, h: int) -> RuleVerdict | None:
-    """Rule 3.4: x_i = x_h = 1 when their joint contribution cannot be negative."""
-    return _probe(PAIR_RULES_BY_ID[R3_4], state, i, h)
 
 
 # --- the whole catalog -------------------------------------------------------

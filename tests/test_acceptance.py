@@ -112,20 +112,21 @@ def _check_derived_examples():
     assert got == {"R2_1", "R2_1p", "R1_2", "R1_2p"}
     got2 = {x.rule_id for x in rules.derive_pair_inequalities(init_state(two(-1, -1, 2)), 1, 2)}
     assert {"R1_1", "R1_1p"} <= got2
-    assert rules.rule_complement_pair(init_state(two(1, 1, -2)), 1, 2).unique
-    assert rules.rule_complement_pair(init_state(two(1, 1, -1)), 1, 2) is not None
-    assert rules.rule_equal_pair(init_state(two(-1, -1, 2)), 1, 2) is not None
-    assert rules.rule_equal_pair(init_state(two(-1, -1, 1)), 1, 2) is not None
-    assert rules.rule_pair_zero(init_state(two(-2, -2, 3)), 1, 2).unique
-    assert not rules.rule_pair_zero(init_state(two(-1, -1, 2)), 1, 2).unique
-    assert rules.rule_pair_zero(init_state(two(-1, -1, 4)), 1, 2) is None
-    assert rules.rule_pair_one_zero(init_state(two(2, 1, -3)), 1, 2).conclusion \
+    row = rules.PAIR_RULES_BY_ID
+    assert row["R2_5"].probe(init_state(two(1, 1, -2)), 1, 2).unique
+    assert row["R2_5"].probe(init_state(two(1, 1, -1)), 1, 2) is not None
+    assert row["R2_6"].probe(init_state(two(-1, -1, 2)), 1, 2) is not None
+    assert row["R2_6"].probe(init_state(two(-1, -1, 1)), 1, 2) is not None
+    assert row["R3_1"].probe(init_state(two(-2, -2, 3)), 1, 2).unique
+    assert not row["R3_1"].probe(init_state(two(-1, -1, 2)), 1, 2).unique
+    assert row["R3_1"].probe(init_state(two(-1, -1, 4)), 1, 2) is None
+    assert row["R3_2"].probe(init_state(two(2, 1, -3)), 1, 2).conclusion \
         == rules.PairFix(1, 1, 2, 0)
-    assert rules.rule_pair_one_zero(init_state(two(2, 1, -3)), 2, 1) is None
-    assert not rules.rule_pair_one_zero(init_state(two(1, 1, -2)), 1, 2).unique
-    assert rules.rule_pair_one(init_state(two(-1, -1, 3)), 1, 2).unique
-    assert not rules.rule_pair_one(init_state(two(-1, -1, 2)), 1, 2).unique
-    assert rules.rule_pair_one(init_state(two(-3, -3, 2)), 1, 2) is None
+    assert row["R3_2"].probe(init_state(two(2, 1, -3)), 2, 1) is None
+    assert not row["R3_2"].probe(init_state(two(1, 1, -2)), 1, 2).unique
+    assert row["R3_4"].probe(init_state(two(-1, -1, 3)), 1, 2).unique
+    assert not row["R3_4"].probe(init_state(two(-1, -1, 2)), 1, 2).unique
+    assert row["R3_4"].probe(init_state(two(-3, -3, 2)), 1, 2) is None
     st = init_state(two(1, 1, -2))
     ineqs = {x.rule_id: x for x in rules.derive_pair_inequalities(st, 1, 2)}
     assert rules.m_lower_bound(st, ineqs["R2_1"]) == 1

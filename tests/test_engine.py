@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (
     RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, check_consistency, dense_reference,
-    random_instance, replay, shuffled_instance, sweep_instance,
+    optima_by_enumeration, random_instance, replay, shuffled_instance, sweep_instance,
 )
 from quboreduce import rules
 from quboreduce.engine import (
@@ -104,6 +104,25 @@ class TestRunToFixedPoint:
             reduced, _, smap = run_to_fixed_point(inst)
             assert check_equivalence(inst, reduced, smap).ok
 
+    @pytest.mark.parametrize("scale", [2**62, 10**30], ids=["2^62", "10^30"])
+    def test_soundness_above_int64(self, scale):
+        # brute_force_solve refuses these magnitudes; the conftest oracle
+        # enumerates in Python integers.
+        rng = random.Random(53)
+        kept = 0
+        while kept < 30:
+            inst = shuffled_instance(rng, scale)
+            if inst.n > 12:
+                continue
+            kept += 1
+            reduced, _, smap = run_to_fixed_point(inst)
+            best, _ = optima_by_enumeration(inst)
+            reduced_best, reduced_optima = optima_by_enumeration(reduced)
+            assert reduced_best == best
+            for x in reduced_optima:
+                full = reconstruct_solution(smap, dict(zip(smap.survivors, x)))
+                assert evaluate(inst, full) == best
+
     def test_pass_count_bounded(self):
         rng = random.Random(52)
         for _ in range(100):
@@ -119,6 +138,19 @@ class TestRunToFixedPoint:
         _, log, _ = run_to_fixed_point(inst)
         assert "R3_1" in log.per_rule_counts
         assert "R3_4" not in log.per_rule_counts
+        # x2 probes its clean neighbour x1 in pass 1
+        assert [(ev.pass_number, ev.verdict) for ev in log.events] == [
+            (1, rules.RuleVerdict("R3_1", rules.PairFix(2, 0, 1, 0), False)),
+        ]
+
+    def test_fixed_order_prefers_one_zero(self):
+        inst = build_from_triplets(2, [(1, 1, 1), (2, 2, 1), (1, 2, -2)])
+        # both orientations fire at their boundary here; a negative edge
+        # probes R3_2 (x2 = 1, x1 = 0) before R3_3 (x1 = 1, x2 = 0)
+        _, log, _ = run_to_fixed_point(inst)
+        assert [(ev.pass_number, ev.verdict) for ev in log.events] == [
+            (1, rules.RuleVerdict("R3_2", rules.PairFix(2, 1, 1, 0), False)),
+        ]
 
 
 class TestVerifyFixedPoint:
@@ -232,8 +264,8 @@ class TestResidual:
                 pass
             for i in state.free_variables():
                 for h in state.adj[i]:
-                    assert rules.rule_complement_pair(state, i, h) is None
-                    assert rules.rule_equal_pair(state, i, h) is None
+                    assert rules.PAIR_RULES_BY_ID["R2_5"].probe(state, i, h) is None
+                    assert rules.PAIR_RULES_BY_ID["R2_6"].probe(state, i, h) is None
 
     def test_residual_run_is_pinned(self):
         # generate --size 2000 --edges 20000 --seed 42 --design-row 3

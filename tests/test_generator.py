@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -86,6 +87,24 @@ class TestGenerateInstance:
         spec = GeneratorSpec.from_design(10, 8, design_table()[0], seed=0)
         with pytest.raises(ValueError, match="connect"):
             generate_instance(spec)
+
+    @pytest.mark.parametrize("field", ["linear_multiplier", "quadratic_multiplier"])
+    def test_multiplier_below_one_rejected(self, field):
+        spec = GeneratorSpec.from_design(20, 40, design_table()[0], seed=1)
+        with pytest.raises(ValueError, match=field):
+            generate_instance(dataclasses.replace(spec, **{field: 0}))
+
+    def test_coefficients_past_int64_rejected(self):
+        # upper_bound * multiplier reaches 2^70: int64 products would wrap
+        spec = dataclasses.replace(
+            GeneratorSpec.from_design(20, 40, design_table()[0], seed=1),
+            upper_bound=2**40, linear_multiplier=2**30, quadratic_multiplier=2**30,
+        )
+        with pytest.raises(ValueError, match="2\\^62"):
+            generate_instance(spec)
+        below = dataclasses.replace(spec, linear_multiplier=2**21, quadratic_multiplier=2**21)
+        inst = generate_instance(below)  # 2^61 at most: exact
+        assert max(abs(v) for v in inst.quadratic.values()) <= 2**61
 
     def test_coefficient_ranges(self):
         row = design_table()[0]  # U=10, lin x10, quad x20

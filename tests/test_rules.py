@@ -13,10 +13,12 @@ from quboreduce.model import build_from_triplets
 from quboreduce.rules import (
     Fix, Inequality, InequalityKind, PairFix, RuleVerdict, SubstituteComplement,
     SubstituteEqual, derive_pair_inequalities, m_lower_bound, penalty_rewrite,
-    rule_complement_pair, rule_equal_pair, rule_fix_one, rule_fix_zero,
-    rule_pair_one, rule_pair_one_zero, rule_pair_zero, rule_pair_zero_one,
+    rule_fix_one, rule_fix_zero,
 )
 from quboreduce.state import ReductionState, init_state
+
+# A pair rule is called through its table row.
+ROW = rules.PAIR_RULES_BY_ID
 
 
 def two_var(c1, c2, d12):
@@ -119,10 +121,33 @@ class TestPairInequalities:
                                 == derive_pair_inequalities(st, h, i))
 
 
+class TestProbe:
+    def test_engine_groups_follow_the_table(self):
+        assert [r.rule_id for r in rules.PAIR_ASSIGNMENTS[True]] == ["R3_1", "R3_4"]
+        assert [r.rule_id for r in rules.PAIR_ASSIGNMENTS[False]] == ["R3_2", "R3_3"]
+        assert (rules.SUBSTITUTION[True].rule_id, rules.SUBSTITUTION[False].rule_id) \
+            == ("R2_6", "R2_5")
+
+    def test_absent_edge_is_silent(self):
+        st = state_of((1, 2, 1), n=3)  # every threshold at (1, 3) is 0 or 1
+        for row in rules.PAIR_RULES:
+            assert row.probe(st, 1, 3) is None and row.probe(st, 3, 1) is None
+
+    def test_edge_of_the_other_sign_is_silent(self):
+        for c1, d in ((0, 5), (5, -5)):
+            st = init_state(two_var(c1, 0, d))
+            slack = (*rules.slacks(st, 1), *rules.slacks(st, 2))
+            for row in rules.PAIR_RULES:
+                if row.sign * d < 0:
+                    # the threshold alone would fire on |d|
+                    assert row.judge(abs(d), 1, 2, *slack) is not None
+                    assert row.probe(st, 1, 2) is None
+
+
 class TestComplementPair:
     def test_fires_on_antagonistic_pair(self):
         st = init_state(two_var(1, 1, -2))
-        v = rule_complement_pair(st, 1, 2)
+        v = ROW["R2_5"].probe(st, 1, 2)
         assert v is not None and v.rule_id == "R2_5"
         assert v.conclusion == SubstituteComplement(1, 2)
         assert v.unique
@@ -131,14 +156,14 @@ class TestComplementPair:
 
     def test_fires_at_boundary_not_unique(self):
         st = init_state(two_var(1, 1, -1))
-        v = rule_complement_pair(st, 1, 2)
+        v = ROW["R2_5"].probe(st, 1, 2)
         assert v is not None and not v.unique
         _, optima = optima_by_enumeration(snapshot(st))
         assert any(x[0] + x[1] == 1 for x in optima)
 
     def test_positive_edge_silent(self):
         st = init_state(two_var(1, 1, 2))
-        assert rule_complement_pair(st, 1, 2) is None
+        assert ROW["R2_5"].probe(st, 1, 2) is None
 
     def test_symmetric_in_arguments(self):
         rng = random.Random(3)
@@ -147,8 +172,8 @@ class TestComplementPair:
             for i in range(1, st.n + 1):
                 for h in st.adj[i]:
                     if i < h:
-                        a = rule_complement_pair(st, i, h)
-                        b = rule_complement_pair(st, h, i)
+                        a = ROW["R2_5"].probe(st, i, h)
+                        b = ROW["R2_5"].probe(st, h, i)
                         assert (a is None) == (b is None)
                         if a is not None:
                             assert a.unique == b.unique
@@ -157,21 +182,21 @@ class TestComplementPair:
 class TestEqualPair:
     def test_fires_on_aligned_pair(self):
         st = init_state(two_var(-1, -1, 2))
-        v = rule_equal_pair(st, 1, 2)
+        v = ROW["R2_6"].probe(st, 1, 2)
         assert v is not None and v.conclusion == SubstituteEqual(1, 2)
         _, optima = optima_by_enumeration(snapshot(st))
         assert all(x[0] == x[1] for x in optima)
 
     def test_fires_at_boundary(self):
         st = init_state(two_var(-1, -1, 1))
-        v = rule_equal_pair(st, 1, 2)
+        v = ROW["R2_6"].probe(st, 1, 2)
         assert v is not None
         _, optima = optima_by_enumeration(snapshot(st))
         assert any(x[0] == x[1] for x in optima)
 
     def test_negative_edge_silent(self):
         st = init_state(two_var(-1, -1, -2))
-        assert rule_equal_pair(st, 1, 2) is None
+        assert ROW["R2_6"].probe(st, 1, 2) is None
 
     def test_symmetric_in_arguments(self):
         rng = random.Random(4)
@@ -180,62 +205,62 @@ class TestEqualPair:
             for i in range(1, st.n + 1):
                 for h in st.adj[i]:
                     if i < h:
-                        a = rule_equal_pair(st, i, h)
-                        b = rule_equal_pair(st, h, i)
+                        a = ROW["R2_6"].probe(st, i, h)
+                        b = ROW["R2_6"].probe(st, h, i)
                         assert (a is None) == (b is None)
 
 
 class TestPairAssignments:
     def test_pair_zero_fires(self):
         st = init_state(two_var(-2, -2, 3))
-        v = rule_pair_zero(st, 1, 2)
+        v = ROW["R3_1"].probe(st, 1, 2)
         assert v == RuleVerdict("R3_1", PairFix(1, 0, 2, 0), True)
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 0 and optima == [(0, 0)]
 
     def test_pair_zero_boundary(self):
         st = init_state(two_var(-1, -1, 2))
-        v = rule_pair_zero(st, 1, 2)
+        v = ROW["R3_1"].probe(st, 1, 2)
         assert v is not None and not v.unique
         _, optima = optima_by_enumeration(snapshot(st))
         assert sorted(optima) == [(0, 0), (1, 1)]
 
     def test_pair_zero_silent(self):
         st = init_state(two_var(-1, -1, 4))
-        assert rule_pair_zero(st, 1, 2) is None
+        assert ROW["R3_1"].probe(st, 1, 2) is None
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 2 and optima == [(1, 1)]
 
     def test_pair_one_zero_orientations(self):
         st = init_state(two_var(2, 1, -3))
-        v = rule_pair_one_zero(st, 1, 2)
+        v = ROW["R3_2"].probe(st, 1, 2)
         assert v == RuleVerdict("R3_2", PairFix(1, 1, 2, 0), True)
-        assert rule_pair_one_zero(st, 2, 1) is None
+        assert ROW["R3_2"].probe(st, 2, 1) is None
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 2 and optima == [(1, 0)]
 
     def test_pair_one_zero_boundary(self):
         st = init_state(two_var(1, 1, -2))
-        v = rule_pair_one_zero(st, 1, 2)
+        v = ROW["R3_2"].probe(st, 1, 2)
         assert v is not None and not v.unique
         _, optima = optima_by_enumeration(snapshot(st))
         assert (1, 0) in optima
 
     def test_pair_one_fires(self):
         st = init_state(two_var(-1, -1, 3))
-        v = rule_pair_one(st, 1, 2)
+        v = ROW["R3_4"].probe(st, 1, 2)
         assert v == RuleVerdict("R3_4", PairFix(1, 1, 2, 1), True)
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 1 and optima == [(1, 1)]
 
     def test_pair_one_boundary(self):
         st = init_state(two_var(-1, -1, 2))
-        v = rule_pair_one(st, 1, 2)
+        v = ROW["R3_4"].probe(st, 1, 2)
         assert v is not None and not v.unique
 
     def test_pair_one_silent(self):
         st = init_state(two_var(-3, -3, 2))
-        assert rule_pair_one(st, 1, 2) is None
+        assert ROW["R3_4"].probe(st, 1, 2) is None
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 0 and optima == [(0, 0)]
 
@@ -250,7 +275,7 @@ class TestPairAssignments:
                     if d >= 0:
                         continue
                     printed = c[i] - c[h] + d + dp[i] - dm[h] <= 0
-                    v = rule_pair_one_zero(st, h, i)
+                    v = ROW["R3_2"].probe(st, h, i)
                     assert (v is not None) == printed
 
     def test_sign_preconditions_exclusive(self):
@@ -261,11 +286,11 @@ class TestPairAssignments:
                 for h in st.adj[i]:
                     if h < i:
                         continue
-                    comp = rule_complement_pair(st, i, h)
-                    eq = rule_equal_pair(st, i, h)
+                    comp = ROW["R2_5"].probe(st, i, h)
+                    eq = ROW["R2_6"].probe(st, i, h)
                     assert comp is None or eq is None
-                    zero_or_one = rule_pair_zero(st, i, h) or rule_pair_one(st, i, h)
-                    swap = rule_pair_one_zero(st, i, h) or rule_pair_one_zero(st, h, i)
+                    zero_or_one = ROW["R3_1"].probe(st, i, h) or ROW["R3_4"].probe(st, i, h)
+                    swap = ROW["R3_2"].probe(st, i, h) or ROW["R3_2"].probe(st, h, i)
                     assert zero_or_one is None or swap is None
 
 
@@ -277,10 +302,7 @@ _REGIMES = (
 )
 
 
-PREDICATES = {
-    "R3_1": rule_pair_zero, "R3_4": rule_pair_one, "R2_6": rule_equal_pair,
-    "R3_2": rule_pair_one_zero, "R3_3": rule_pair_zero_one, "R2_5": rule_complement_pair,
-}
+PREDICATES = {rid: ROW[rid].probe for rid in ("R3_1", "R3_4", "R2_6", "R3_2", "R3_3", "R2_5")}
 
 
 def screen_rejects_a_firing_edge(st) -> str | None:
@@ -538,7 +560,7 @@ class TestMBounds:
 
     def test_pair_rule_bounds_use_printed_expressions(self):
         st = init_state(two_var(2, 1, -3))
-        v = rule_pair_one_zero(st, 1, 2)
+        v = ROW["R3_2"].probe(st, 1, 2)
         # Max(0, -c_i + c_h - D_i^- + D_h^+) = Max(0, -2 + 1 + 3 + 0)
         assert m_lower_bound(st, v) == 2
 
