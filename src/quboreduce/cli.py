@@ -128,27 +128,34 @@ def _field(doc: dict, key: str, kind: type = list):
     return value
 
 
+def _int(value) -> int:
+    """A JSON integer; TypeError for any other value (``int()`` would take 1.5 or true)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
     return engine.SolutionMap(
-        assignments=[(int(v), int(val)) for v, val in _field(doc, "assignments")],
+        assignments=[(_int(v), _int(val)) for v, val in _field(doc, "assignments")],
         identities=[
-            (int(dropped), _IDENTITY_CODES[kind], int(kept))
+            (_int(dropped), _IDENTITY_CODES[kind], _int(kept))
             for dropped, kind, kept in _field(doc, "identities")
         ],
-        survivors=[int(v) for v in _field(doc, "survivors")],
+        survivors=[_int(v) for v in _field(doc, "survivors")],
     )
 
 
 def report_table(doc: dict) -> str:
     """The run summary that ``reduce`` and ``report`` print, from a log document."""
-    n, survivors = int(doc["original_n"]), len(_field(doc, "survivors"))
+    n, survivors = _int(doc["original_n"]), len(_field(doc, "survivors"))
     percent = 0.0 if n == 0 else 100.0 * (n - survivors) / n
-    counts = {r: int(c) for r, c in _field(doc, "per_rule_counts", dict).items()}
+    counts = {r: _int(c) for r, c in _field(doc, "per_rule_counts", dict).items()}
     lines = [
         f"variables        {n} -> {survivors}  ({percent:.1f}% reduction)",
-        f"passes           {int(doc['passes'])}",
-        f"drops per pass   {' '.join(str(int(d)) for d in _field(doc, 'pass_drops'))}",
-        f"offset           {int(doc['offset'])}",
+        f"passes           {_int(doc['passes'])}",
+        f"drops per pass   {' '.join(str(_int(d)) for d in _field(doc, 'pass_drops'))}",
+        f"offset           {_int(doc['offset'])}",
         f"inequalities     {len(_field(doc, 'inequalities'))}",
         f"wall time        {float(doc['wall_time_s']):.3f}s",
         "rule             firings",

@@ -5,9 +5,14 @@ per-variable sums of negative/positive incident edge weights (``d_minus`` /
 ``d_plus``), the extreme incident edge value on each side (``min_val``,
 ``max_val``; 0 on a side without edges), per-variable status, and
 ``touched``, the event count of each row's last change, from which the engine
-tells which rows need examining again.  All mutation goes through
-``apply_fix`` and the two substitution operations, which keep every derived
-quantity incrementally consistent with the working coefficients.
+tells which rows need examining again.
+
+Every conclusion removes one variable by one substitution x_h := a + b*x_i,
+and one method applies it: a fix is (a, b) = (value, 0), ``x_h = x_i`` is
+(0, 1) and ``x_h = 1 - x_i`` is (1, -1).  ``apply_fix`` and the two
+substitution operations call it, and it keeps every derived quantity
+incrementally consistent: a value removed at a row's extreme rescans the
+row, and a new value past the extreme becomes it.
 
 The constructor works on the edge arrays: a stable sort by row, then
 ``reduceat`` per row for sums and extremes, on int64 while exact and on
@@ -117,147 +122,108 @@ class ReductionState:
         self.max_val[j] = max(max(row, default=0), 0)
         self.min_val[j] = min(min(row, default=0), 0)
 
-    def _clear_row(self, i: int) -> None:
-        self.c[i] = 0
-        self.d_minus[i] = self.d_plus[i] = 0
-        self.max_val[i] = self.min_val[i] = 0
-
     def _require_free(self, i: int) -> None:
         if self.status[i] != FREE:
             raise RuntimeError(f"variable {i} is not free (engine bug)")
 
     # -- mutations -------------------------------------------------------
 
-    def apply_fix(self, i: int, value: int) -> None:
-        """Fix x_i = value and fold its row into the neighbours.
+    def _eliminate(self, h: int, a: int, b: int, i: int, status: int) -> None:
+        """Substitute x_h := a + b * x_i into the objective and retire h.
 
-        For value 1 the constant gains c_i and every neighbour j gains d_ij
-        on its linear coefficient; for both values the incident edges vanish
-        and neighbour sums/extremes are repaired.
+        (a, b) is (value, 0) for a fix, (0, 1) for x_h = x_i and (1, -1)
+        for x_h = 1 - x_i; x_i is read only when b is nonzero.  The constant
+        gains a * c_h; row i gains b * c_h and, from the pair edge,
+        (a + b) * d_ih; every other neighbour j gains a * d_hj on c_j and
+        b * d_hj on d_ij, an edge landing on zero being dropped.
         """
-        self._require_free(i)
-        if value not in (0, 1):
-            raise ValueError(f"fix value must be 0 or 1, got {value!r}")
+        if b:
+            self._require_free(i)
+            if i == h:
+                raise RuntimeError("cannot substitute a variable with itself")
+        self._require_free(h)
         self.events += 1
         ev = self.events
-        if value:
-            self.offset += self.c[i]
-        neighbors = list(self.adj[i].items())
-        self.adj[i].clear()
-        for j, d in neighbors:
-            del self.adj[j][i]
-            self.touched[j] = ev
-            if value:
-                self.c[j] += d
-            if d < 0:
-                self.d_minus[j] -= d
-                if d == self.min_val[j]:
-                    self.recompute_row_extremes(j)
+        adj, c, touched = self.adj, self.c, self.touched
+        d_minus, d_plus, max_val, min_val = self.d_minus, self.d_plus, self.max_val, self.min_val
+        self.offset += a * c[h]
+        row_i = adj[i]
+        if b:
+            d_ih = row_i.pop(h, 0)
+            if d_ih:
+                del adj[h][i]
+                if d_ih < 0:
+                    d_minus[i] -= d_ih
+                else:
+                    d_plus[i] -= d_ih
+            c[i] += b * c[h] + (a + b) * d_ih
+            touched[i] = ev
+        hrow = list(adj[h].items())
+        adj[h].clear()
+        for j, dhj in hrow:
+            row_j = adj[j]
+            del row_j[h]
+            touched[j] = ev
+            if a:
+                c[j] += a * dhj
+            # Row j's extremes go stale when a removed value held one; a new
+            # value past one becomes it.  A fix only removes d_hj.
+            if dhj < 0:
+                d_minus[j] -= dhj
+                stale = dhj == min_val[j]
             else:
-                self.d_plus[j] -= d
-                if d == self.max_val[j]:
-                    self.recompute_row_extremes(j)
-        self._clear_row(i)
-        self.status[i] = FIXED_ONE if value else FIXED_ZERO
-        self.assignment_log.append((i, value))
+                d_plus[j] -= dhj
+                stale = dhj == max_val[j]
+            if b:
+                old = row_i.get(j, 0)
+                new = old + b * dhj
+                if old < 0:
+                    d_minus[i] -= old
+                    d_minus[j] -= old
+                elif old > 0:
+                    d_plus[i] -= old
+                    d_plus[j] -= old
+                if new == 0:
+                    del row_i[j], row_j[i]
+                else:
+                    row_i[j] = row_j[i] = new
+                    if new < 0:
+                        d_minus[i] += new
+                        d_minus[j] += new
+                    else:
+                        d_plus[i] += new
+                        d_plus[j] += new
+                if stale or (old and old in (max_val[j], min_val[j])):
+                    stale = True
+                elif new > max_val[j]:
+                    max_val[j] = new
+                elif new < min_val[j]:
+                    min_val[j] = new
+            if stale:
+                self.recompute_row_extremes(j)
+        if b:
+            self.recompute_row_extremes(i)
+        c[h] = d_minus[h] = d_plus[h] = max_val[h] = min_val[h] = 0
+        self.status[h] = status
         self.live_count -= 1
 
-    def _retire_pair_edge(self, i: int, h: int) -> int:
-        """Remove the {i, h} edge, fixing row i's sums; returns the old value."""
-        d_ih = self.adj[i].pop(h, 0)
-        if d_ih:
-            del self.adj[h][i]
-            if d_ih < 0:
-                self.d_minus[i] -= d_ih
-            else:
-                self.d_plus[i] -= d_ih
-        return d_ih
-
-    def _merge_row(self, i: int, h: int, sign: int) -> None:
-        """Fold row h into row i with d_ij := d_ij + sign * d_hj.
-
-        Maintains d_minus/d_plus of every touched row and repairs extremes;
-        edges that land exactly on zero are dropped.  Row h is emptied.
-        """
-        adj_i = self.adj[i]
-        hrow = list(self.adj[h].items())
-        self.adj[h].clear()
-        ev = self.events
-        self.touched[i] = ev
-        for j, dhj in hrow:
-            del self.adj[j][h]
-            self.touched[j] = ev
-            # Edge {h, j} disappears from row j's sums.
-            if dhj < 0:
-                self.d_minus[j] -= dhj
-            else:
-                self.d_plus[j] -= dhj
-            if sign < 0:
-                # x_h = 1 - x_i turns d_hj x_h x_j into d_hj x_j - d_hj x_i x_j.
-                self.c[j] += dhj
-            old = adj_i.get(j, 0)
-            new = old + sign * dhj
-            if old < 0:
-                self.d_minus[i] -= old
-                self.d_minus[j] -= old
-            elif old > 0:
-                self.d_plus[i] -= old
-                self.d_plus[j] -= old
-            if new == 0:
-                adj_i.pop(j, None)
-                self.adj[j].pop(i, None)
-            else:
-                adj_i[j] = new
-                self.adj[j][i] = new
-                if new < 0:
-                    self.d_minus[i] += new
-                    self.d_minus[j] += new
-                else:
-                    self.d_plus[i] += new
-                    self.d_plus[j] += new
-            # A removed value at j's extreme calls for a rescan; a new one
-            # past it is the extreme.
-            ext = (self.max_val[j], self.min_val[j])
-            if dhj in ext or (old and old in ext):
-                self.recompute_row_extremes(j)
-            elif new > self.max_val[j]:
-                self.max_val[j] = new
-            elif new < self.min_val[j]:
-                self.min_val[j] = new
-        self.recompute_row_extremes(i)
+    def apply_fix(self, i: int, value: int) -> None:
+        """Fix x_i = value: x_i := value + 0 * x_i."""
+        if value not in (0, 1):
+            raise ValueError(f"fix value must be 0 or 1, got {value!r}")
+        self._eliminate(i, value, 0, i, FIXED_ONE if value else FIXED_ZERO)
+        self.assignment_log.append((i, value))
 
     def apply_substitution_complement(self, i: int, h: int) -> None:
         """Replace x_h by 1 - x_i, eliminating variable h."""
-        self._require_free(i)
-        self._require_free(h)
-        if i == h:
-            raise RuntimeError("cannot substitute a variable with itself")
-        self.events += 1
-        # d_ih x_i x_h collapses to zero under x_h = 1 - x_i.
-        self._retire_pair_edge(i, h)
-        self.offset += self.c[h]
-        self.c[i] -= self.c[h]
-        self._merge_row(i, h, -1)
-        self._clear_row(h)
-        self.status[h] = COMPLEMENT_OF
+        self._eliminate(h, 1, -1, i, COMPLEMENT_OF)
         self.identity_log.append((h, COMPLEMENT_OF, i))
-        self.live_count -= 1
 
     def apply_substitution_equal(self, i: int, h: int) -> None:
         """Replace x_h by x_i, eliminating variable h."""
-        self._require_free(i)
-        self._require_free(h)
-        if i == h:
-            raise RuntimeError("cannot substitute a variable with itself")
-        self.events += 1
-        d_ih = self._retire_pair_edge(i, h)
-        # c_i := c_h + c_i + d_ih: the pair edge becomes linear on x_i.
-        self.c[i] += self.c[h] + d_ih
-        self._merge_row(i, h, +1)
-        self._clear_row(h)
-        self.status[h] = SAME_AS
+        self._eliminate(h, 0, 1, i, SAME_AS)
         self.identity_log.append((h, SAME_AS, i))
-        self.live_count -= 1
+
 
 def init_state(instance: QuboInstance) -> ReductionState:
     """Fresh state: every variable free, sums and extremes computed."""

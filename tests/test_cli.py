@@ -321,6 +321,31 @@ class TestReduceVerify:
         assert "error: malformed log document" in captured.err
         assert "verified" not in captured.out
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc.update(assignments=[[4, 1.5]]), id="float-value"),
+        pytest.param(lambda doc: doc["survivors"].__setitem__(0, True), id="bool-survivor"),
+        pytest.param(lambda doc: doc["survivors"].__setitem__(0, "1"), id="string-survivor"),
+    ])
+    def test_verify_rejects_non_integer_map_entries(self, tmp_path, capsys, edit):
+        # x_4 fixes to 1 and 1..3 survive; int() would read each edit as the
+        # original entry, so the edited log would verify
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 4\nl 1 -2\nl 2 -3\nl 3 -1\nl 4 5\n"
+                       "q 1 2 5\nq 1 3 4\nq 2 3 -4\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        doc = json.loads(log.read_text())
+        assert (doc["assignments"], doc["survivors"]) == ([[4, 1]], [1, 2, 3])
+        assert run(["verify", src, red, log]) == 0
+        edit(doc)
+        log.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed log document: TypeError" in captured.err
+        assert "verified" not in captured.out
+
     @pytest.mark.parametrize("fmt", ["bogus/9", None])
     def test_verify_rejects_unknown_log_format(self, tmp_path, capsys, fmt):
         src = tmp_path / "in.qubo"
@@ -449,6 +474,10 @@ class TestReport:
         pytest.param(_log_text(survivors=""), id="survivors=string"),
         pytest.param(_log_text(inequalities=""), id="inequalities=string"),
         pytest.param(_log_text(per_rule_counts=[["R1_0", 2]]), id="per_rule_counts=pairs"),
+        pytest.param(_log_text(offset=4.5), id="offset=float"),
+        pytest.param(_log_text(passes=True), id="passes=true"),
+        pytest.param(_log_text(pass_drops=[2.0, 0]), id="pass_drops=[float]"),
+        pytest.param(_log_text(per_rule_counts={"R1_0": "2"}), id="per_rule_counts=string"),
     ])
     def test_report_malformed_document(self, tmp_path, capsys, text):
         log = tmp_path / "bad.json"

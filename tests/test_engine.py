@@ -582,6 +582,27 @@ class TestMultiPass:
         assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == digest
         assert verify_fixed_point(init_state(reduced))
 
+    def test_pinned_sweep_outputs(self):
+        # One digest over everything 1,000 small mined runs produce: events,
+        # inequality records, pass drops, rule counts, solution map and
+        # reduced instance.  Refactors keep it; a deliberate change of fixed
+        # point (such as one scheduler for every rule) re-pins it and says
+        # so in CHANGES.md.
+        digest = hashlib.sha256()
+        for t in range(1000):
+            reduced, log, smap = run_to_fixed_point(sweep_instance(t), True)
+            for e in log.events:
+                digest.update(f"{e.pass_number} {e.verdict!r} {e.live_after}\n".encode())
+            for r in log.inequality_records:
+                digest.update(
+                    f"{r.pass_number} {r.verdict!r} {r.m_bound} {r.snapshot_id}\n".encode())
+            digest.update(repr((log.pass_drops, sorted(log.per_rule_counts.items()),
+                                smap.assignments, smap.identities, smap.survivors)).encode())
+            text = io.StringIO()
+            write_instance(reduced, text)
+            digest.update(text.getvalue().encode())
+        assert digest.hexdigest()[:16] == "447e9183d0ffd9e7"
+
     def test_pinned_mined_records(self):
         # generate --size 2000 --edges 20000 --seed 42 --design-row 1, mined:
         # pins each record's M bound and the extreme-edge screen at scale

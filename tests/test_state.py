@@ -1,12 +1,13 @@
+import copy
 import random
 
 import pytest
 
 from conftest import (
-    LEGACY_SLOTS, check_consistency, legacy_state, random_instance, restricted_optimum,
-    shuffled_instance, snapshot,
+    LEGACY_SLOTS, all_assignments, check_consistency, legacy_state, random_instance,
+    restricted_optimum, shuffled_instance, snapshot,
 )
-from quboreduce.model import EdgeTable, QuboInstance, build_from_triplets, edge_arrays
+from quboreduce.model import EdgeTable, QuboInstance, build_from_triplets, edge_arrays, evaluate
 from quboreduce.oracle import brute_force_solve
 from quboreduce.rules import pair_may_fire
 from quboreduce.state import COMPLEMENT_OF, SAME_AS, ReductionState, init_state
@@ -188,6 +189,120 @@ class TestSubstitutions:
                 want = restricted_optimum(inst, lambda x: x[i - 1] == x[h - 1])
             check_consistency(st)
             assert brute_force_solve(snapshot(st)).optimum == want
+
+
+def _eliminate_at_random(rng: random.Random, st: ReductionState) -> tuple[int, int, int, int]:
+    """Apply a random fix-0, fix-1, equal or complement; returns its (h, a, b, i)."""
+    free = st.free_variables()
+    kinds = ("fix0", "fix1", "equal", "complement") if len(free) > 1 else ("fix0", "fix1")
+    kind = rng.choice(kinds)
+    if kind in ("fix0", "fix1"):
+        h, a = rng.choice(free), int(kind == "fix1")
+        st.apply_fix(h, a)
+        return h, a, 0, h
+    i, h = rng.sample(free, 2)
+    if kind == "equal":
+        st.apply_substitution_equal(i, h)
+        return h, 0, 1, i
+    st.apply_substitution_complement(i, h)
+    return h, 1, -1, i
+
+
+def _elimination_chains(scale: int, count: int = 150):
+    """Short random elimination chains on instances of at most 10 variables.
+
+    Scale 1 draws ``random_instance``; a larger scale draws
+    ``shuffled_instance``, whose sums pass int64 at 10**30.  Yields
+    (instance, state, steps, rows before the last step) after each step;
+    a step (h, a, b, i) applied x_h := a + b * x_i.
+    """
+    rng = random.Random(scale % 1000 + 16)
+    kept = 0
+    while kept < count:
+        if scale == 1:
+            inst = random_instance(rng, rng.randint(2, 10))
+        else:
+            inst = shuffled_instance(rng, scale)
+            if inst.n > 10:
+                continue
+        kept += 1
+        st = init_state(inst)
+        steps = []
+        for _ in range(rng.randint(1, min(4, inst.n))):
+            before = [(st.c[v], dict(st.adj[v])) for v in range(inst.n + 1)]
+            steps.append(_eliminate_at_random(rng, st))
+            yield inst, st, steps, before
+
+
+def _objective_breaks(scale: int) -> list:
+    """Steps after which the working objective differs from the original's
+    on an assignment that satisfies every substitution applied so far."""
+    breaks = []
+    for inst, st, steps, _ in _elimination_chains(scale):
+        reduced = snapshot(st)
+        for x in all_assignments(inst.n):
+            if (all(x[h - 1] == a + b * x[i - 1] for h, a, b, i in steps)
+                    and evaluate(inst, x) != evaluate(reduced, x)):
+                breaks.append((inst, list(steps), x))
+                break
+    return breaks
+
+
+class TestElimination:
+    """Every mutation is the substitution x_h := a + b * x_i."""
+
+    @pytest.mark.parametrize("scale", [1, 10**30], ids=["small", "10^30"])
+    def test_each_elimination_is_an_identity_of_the_objective(self, scale):
+        assert _objective_breaks(scale) == []
+
+    def test_identity_fails_without_complement_compensation(self, uncompensated_complement):
+        assert _objective_breaks(1)
+
+    @pytest.mark.parametrize("scale", [1, 10**30], ids=["small", "10^30"])
+    def test_touched_marks_every_changed_row(self, scale):
+        # the dirty-row scheduler re-examines exactly the rows stamped by the
+        # latest events, so a changed row left unstamped would go unexamined
+        for _, st, steps, before in _elimination_chains(scale):
+            assert st.events == len(steps)
+            for v in st.free_variables():
+                if (st.c[v], st.adj[v]) != before[v]:
+                    assert st.touched[v] == st.events, (v, steps)
+            check_consistency(st)
+
+
+TRIANGLE_AND_TAIL = build_from_triplets(4, [
+    (1, 1, 1), (2, 2, 1), (3, 3, 2), (4, 4, -1),
+    (1, 2, -2), (2, 3, 1), (2, 4, 3), (3, 4, -1),
+])
+
+
+class TestRefusedMutation:
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda st: st.apply_fix(1, 1), RuntimeError, id="fix-not-free"),
+        pytest.param(lambda st: st.apply_fix(2, 2), ValueError, id="fix-value-2"),
+        pytest.param(lambda st: st.apply_substitution_complement(1, 2), RuntimeError,
+                     id="complement-i-not-free"),
+        pytest.param(lambda st: st.apply_substitution_complement(2, 1), RuntimeError,
+                     id="complement-h-not-free"),
+        pytest.param(lambda st: st.apply_substitution_complement(2, 2), RuntimeError,
+                     id="complement-i-is-h"),
+        pytest.param(lambda st: st.apply_substitution_equal(1, 2), RuntimeError,
+                     id="equal-i-not-free"),
+        pytest.param(lambda st: st.apply_substitution_equal(2, 1), RuntimeError,
+                     id="equal-h-not-free"),
+        pytest.param(lambda st: st.apply_substitution_equal(2, 2), RuntimeError,
+                     id="equal-i-is-h"),
+    ])
+    def test_changes_nothing(self, call, error):
+        st = init_state(TRIANGLE_AND_TAIL)
+        st.apply_fix(1, 1)  # 1 is no longer free; 2 keeps edges to 3 and 4
+        slots = {slot: copy.deepcopy(getattr(st, slot)) for slot in LEGACY_SLOTS}
+        rows = [list(row.items()) for row in st.adj]
+        with pytest.raises(error):
+            call(st)
+        for slot, value in slots.items():
+            assert getattr(st, slot) == value, slot
+        assert [list(row.items()) for row in st.adj] == rows
 
 
 class TestRecomputeRowExtremes:
