@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 ``main`` alone turns bad input into exit 2: any ``OSError`` or ``ValueError``
-a command raises is printed as ``error: <message>``.  Nothing else is caught,
-so the engine's invariant failures still raise.  ``reduce`` refuses ``-o``
-and ``--log`` naming one file; ``solve`` refuses ``--preprocess`` with
-``--all-optima``, as the remnant's optima do not lift to all original optima.
+a command raises is printed as ``error: <message>``, a ``MemoryError`` as
+``error: out of memory``.  Nothing else is caught, so the engine's invariant
+failures still raise.  ``reduce`` refuses ``-o`` and ``--log`` naming one
+file; ``solve`` refuses ``--preprocess`` with ``--all-optima``, as the
+remnant's optima do not lift to all original optima.
 
 Reduced instances are written with their original variable indices unless
 --renumber is given, in which case the file is densely renumbered and the
@@ -128,11 +129,17 @@ def _field(doc: dict, key: str, kind: type = list):
     return value
 
 
-def _int(value) -> int:
-    """A JSON integer; TypeError for any other value (``int()`` would take 1.5 or true)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a JSON integer")
+def _int(value, kinds: type | tuple = int, name: str = "integer"):
+    """A JSON integer (or ``kinds``, but never a bool); TypeError for any other
+    value: ``int()`` would take 1.5 or true."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a JSON {name}")
     return value
+
+
+def _number(value) -> int | float:
+    """A JSON number; TypeError for any other value (``float()`` would take "nan")."""
+    return _int(value, (int, float), "number")
 
 
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
@@ -157,7 +164,7 @@ def report_table(doc: dict) -> str:
         f"drops per pass   {' '.join(str(_int(d)) for d in _field(doc, 'pass_drops'))}",
         f"offset           {_int(doc['offset'])}",
         f"inequalities     {len(_field(doc, 'inequalities'))}",
-        f"wall time        {float(doc['wall_time_s']):.3f}s",
+        f"wall time        {_number(doc['wall_time_s']):.3f}s",
         "rule             firings",
     ]
     lines += [f"  {rid:<14} {counts[rid]}" for rid in rules.ALL_RULE_IDS if counts.get(rid)]
@@ -253,6 +260,8 @@ def cmd_verify(args) -> int:
         args.log, lambda doc: (solution_map_from_document(doc), "renumber" in doc)
     )
     dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
+    if not renumbered and reduced.n != original.n:
+        raise ValueError(f"reduced file has {reduced.n} variables, not {original.n}")
     try:
         report = oracle.check_equivalence(original, dense, solution_map,
                                           n_limit=args.limit)
@@ -358,6 +367,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -98,18 +98,7 @@ class GeneratorSpec:
         cls, n: int, target_edges: int, row: DesignRow,
         seed: int = 0, hub_fraction: float = 0.01,
     ) -> "GeneratorSpec":
-        return cls(
-            n=n,
-            target_edges=target_edges,
-            upper_bound=row.upper_bound,
-            linear_multiplier=row.linear_multiplier,
-            quadratic_multiplier=row.quadratic_multiplier,
-            pct_quadratic_multiplied=row.pct_quadratic_multiplied,
-            pct_linear_multiplied=row.pct_linear_multiplied,
-            pct_nonzero_linear=row.pct_nonzero_linear,
-            hub_fraction=hub_fraction,
-            seed=seed,
-        )
+        return cls(n, target_edges, **vars(row), hub_fraction=hub_fraction, seed=seed)
 
     def validate(self) -> None:
         if self.n < 1:
@@ -141,26 +130,37 @@ def _nonzero_uniform(rng: np.random.Generator, count: int, bound: int) -> np.nda
     return np.where(raw <= bound, raw, bound - raw).astype(np.int64)
 
 
-def _sample_distinct_pairs(rng, draw_batch, want: int, taken: set[int]) -> list[int]:
-    """Rejection-sample `want` encoded pairs not already in `taken`."""
-    out: list[int] = []
-    while len(out) < want:
-        batch = draw_batch(max(64, 2 * (want - len(out))))
-        for key in batch:
-            key = int(key)
+def _pair_sampler(rng: np.random.Generator, stride: int, ends_a: np.ndarray, ends_b: np.ndarray):
+    """Batches of encoded pairs ``lo * stride + hi``, one end from each pool, no loops."""
+
+    def draw(k: int) -> np.ndarray:
+        a = ends_a[rng.integers(0, len(ends_a), size=k)]
+        b = ends_b[rng.integers(0, len(ends_b), size=k)]
+        ok = a != b
+        a, b = a[ok], b[ok]
+        return np.minimum(a, b) * stride + np.maximum(a, b)
+
+    return draw
+
+
+def _sample_distinct_pairs(draw_batch, want: int, taken: set[int]) -> None:
+    """Rejection-sample `want` encoded pairs into `taken`, in draw order."""
+    goal = len(taken) + want
+    while len(taken) < goal:
+        for key in draw_batch(max(64, 2 * (goal - len(taken)))).tolist():
             if key not in taken:
                 taken.add(key)
-                out.append(key)
-                if len(out) == want:
+                if len(taken) == goal:
                     break
-    return out
 
 
-def _connectivity_repair(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _connectivity_repair(n: int, stride: int, keys: list[int]) -> list[int]:
     """Swap redundant edges for bridges until the graph is connected.
 
-    Keeps the edge count unchanged: every removed edge lies on a cycle of its
-    component, every added edge joins two components.
+    ``keys`` are encoded pairs ``lo * stride + hi``.  Keeps the edge count
+    unchanged: every removed edge lies on a cycle of its component, every
+    added edge joins two components.  Returns ``keys`` itself when the graph
+    is already connected.
     """
     parent = list(range(n + 1))
 
@@ -171,23 +171,21 @@ def _connectivity_repair(n: int, edges: list[tuple[int, int]]) -> list[tuple[int
         return x
 
     non_tree: list[int] = []
-    for idx, (a, b) in enumerate(edges):
-        ra, rb = find(a), find(b)
+    for idx, key in enumerate(keys):
+        ra, rb = find(key // stride), find(key % stride)
         if ra == rb:
             non_tree.append(idx)
         else:
             parent[ra] = rb
     roots = sorted({find(v) for v in range(1, n + 1)})
     if len(roots) == 1:
-        return edges
+        return keys
     need = len(roots) - 1
     if len(non_tree) < need:
         raise RuntimeError("not enough redundant edges to repair connectivity")
     drop = set(non_tree[-need:])
-    repaired = [e for k, e in enumerate(edges) if k not in drop]
-    for a, b in zip(roots, roots[1:]):
-        repaired.append((a, b) if a < b else (b, a))
-    return repaired
+    bridges = [a * stride + b for a, b in zip(roots, roots[1:])]
+    return [key for k, key in enumerate(keys) if k not in drop] + bridges
 
 
 def generate_instance(spec: GeneratorSpec) -> QuboInstance:
@@ -196,9 +194,10 @@ def generate_instance(spec: GeneratorSpec) -> QuboInstance:
     n, m = spec.n, spec.target_edges
     rng = np.random.default_rng(spec.seed)
     stride = n + 1
+    nodes = np.arange(1, n + 1)
 
     hub_count = ceil(spec.hub_fraction * n)
-    hubs = np.sort(rng.choice(np.arange(1, n + 1), size=hub_count, replace=False)) \
+    hubs = np.sort(rng.choice(nodes, size=hub_count, replace=False)) \
         if hub_count else np.empty(0, dtype=np.int64)
     hub_set = set(int(v) for v in hubs)
     non_hubs = np.array([v for v in range(1, n + 1) if v not in hub_set], dtype=np.int64)
@@ -209,34 +208,11 @@ def generate_instance(spec: GeneratorSpec) -> QuboInstance:
     # Uniform pairs must fit into the non-hub pair space.
     hub_target = max(hub_target, m - non_hub_space)
 
+    # Pairs stay encoded as lo * stride + hi, which sort as the (lo, hi) pairs do.
     taken: set[int] = set()
-
-    if hub_target:
-        def draw_hub(k: int) -> np.ndarray:
-            a = hubs[rng.integers(0, hub_count, size=k)]
-            b = rng.integers(1, n + 1, size=k)
-            ok = a != b
-            a, b = a[ok], b[ok]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            return lo * stride + hi
-
-        _sample_distinct_pairs(rng, draw_hub, hub_target, taken)
-
-    uniform_target = m - hub_target
-    if uniform_target:
-        def draw_uniform(k: int) -> np.ndarray:
-            a = non_hubs[rng.integers(0, len(non_hubs), size=k)]
-            b = non_hubs[rng.integers(0, len(non_hubs), size=k)]
-            ok = a != b
-            a, b = a[ok], b[ok]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            return lo * stride + hi
-
-        _sample_distinct_pairs(rng, draw_uniform, uniform_target, taken)
-
-    edges = sorted((key // stride, key % stride) for key in taken)
-    edges = _connectivity_repair(n, edges)
-    edges.sort()
+    _sample_distinct_pairs(_pair_sampler(rng, stride, hubs, nodes), hub_target, taken)
+    _sample_distinct_pairs(_pair_sampler(rng, stride, non_hubs, non_hubs), m - hub_target, taken)
+    keys = _connectivity_repair(n, stride, sorted(taken))
 
     weights = _nonzero_uniform(rng, m, spec.upper_bound)
     k_quad = floor(spec.pct_quadratic_multiplied * m)
@@ -247,15 +223,15 @@ def generate_instance(spec: GeneratorSpec) -> QuboInstance:
     k_lin = floor(spec.pct_nonzero_linear * n)
     linear: dict[int, int] = {}
     if k_lin:
-        nodes = np.sort(rng.choice(np.arange(1, n + 1), size=k_lin, replace=False))
+        chosen_nodes = np.sort(rng.choice(nodes, size=k_lin, replace=False))
         lvals = _nonzero_uniform(rng, k_lin, spec.upper_bound)
         k_mult = floor(spec.pct_linear_multiplied * k_lin)
         if k_mult:
             chosen = rng.choice(k_lin, size=k_mult, replace=False)
             lvals[chosen] *= spec.linear_multiplier
-        linear = {int(v): int(w) for v, w in zip(nodes, lvals)}
+        linear = {int(v): int(w) for v, w in zip(chosen_nodes, lvals)}
 
-    lo, hi = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.divmod(np.sort(np.array(keys, dtype=np.int64)), stride)
     return QuboInstance(n, linear, EdgeTable(lo, hi, weights), 0)
 
 

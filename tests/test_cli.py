@@ -4,13 +4,17 @@ import random
 import pytest
 
 from conftest import random_instance
-from quboreduce import engine
+from quboreduce import engine, generator
 from quboreduce.cli import main
 from quboreduce.model import read_instance, write_instance
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+# variable 1 is fixed, 2..4 survive
+_FOUR_VARIABLES = "p qubo 4\nl 1 5\nl 2 -2\nl 3 -3\nl 4 -1\nq 2 3 5\nq 2 4 4\nq 3 4 -4\n"
 
 
 class TestGenerate:
@@ -49,6 +53,15 @@ class TestGenerate:
         assert run(["generate", "--suite", "desk", "--hub-fraction", 2, "-o", out]) == 2
         assert "error: hub_fraction=2.0 outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # stands in for an instance too large to allocate; nothing is allocated
+        def no_memory(spec):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+
+        monkeypatch.setattr(generator, "generate_instance", no_memory)
+        assert run(["generate", "--size", 20, "--edges", 40, "-o", tmp_path / "x.qubo"]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 14.9 GiB\n"
 
 
 class TestReduceVerify:
@@ -244,11 +257,10 @@ class TestReduceVerify:
         assert "error: " in capsys.readouterr().err
 
     def test_verify_takes_numbering_from_log(self, tmp_path, capsys):
-        # variable 1 is fixed, 2..4 survive: the dense and the original-indexed
-        # files differ, and each only verifies against its own log
+        # the dense and the original-indexed files differ, and each only
+        # verifies against its own log
         src = tmp_path / "in.qubo"
-        src.write_text("p qubo 4\nl 1 5\nl 2 -2\nl 3 -3\nl 4 -1\n"
-                       "q 2 3 5\nq 2 4 4\nq 3 4 -4\n")
+        src.write_text(_FOUR_VARIABLES)
         plain, plain_log = tmp_path / "plain.qubo", tmp_path / "plain.json"
         dense, dense_log = tmp_path / "dense.qubo", tmp_path / "dense.json"
         assert run(["reduce", src, "-o", plain, "--log", plain_log]) == 0
@@ -261,6 +273,18 @@ class TestReduceVerify:
         assert "error: reduced variable 1 is not a survivor" in capsys.readouterr().err
         assert run(["verify", src, plain, dense_log]) == 2
         assert "error: " in capsys.readouterr().err
+
+    def test_verify_rejects_wrong_variable_count(self, tmp_path, capsys):
+        # an original-indexed file must declare the original's variable count
+        src, plain, log = tmp_path / "in.qubo", tmp_path / "out.qubo", tmp_path / "log.json"
+        src.write_text(_FOUR_VARIABLES)
+        assert run(["reduce", src, "-o", plain, "--log", log]) == 0
+        plain.write_text(plain.read_text().replace("p qubo 4", "p qubo 9"))
+        capsys.readouterr()
+        assert run(["verify", src, plain, log]) == 2
+        captured = capsys.readouterr()
+        assert "error: reduced file has 9 variables, not 4" in captured.err
+        assert "verified" not in captured.out
 
     def test_verify_rejects_unresolvable_identity(self, tmp_path, capsys):
         # variable 2 is said to equal variable 9, which the log never resolves
@@ -362,6 +386,17 @@ class TestReduceVerify:
         capsys.readouterr()
         assert run(["verify", src, red, log]) == 2
         assert "error: " in capsys.readouterr().err
+
+    def test_reduce_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(instance):
+            raise MemoryError
+
+        monkeypatch.setattr(engine, "init_state", no_memory)
+        src = tmp_path / "in.qubo"
+        src.write_text("p qubo 2\nl 1 5\n")
+        assert run(["reduce", src]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n" and captured.out == ""
 
     def test_emit_inequalities_recorded(self, tmp_path):
         src = tmp_path / "iq.qubo"
@@ -467,6 +502,9 @@ class TestReport:
         "{}",
         "[]",
         pytest.param(_log_text(wall_time_s="x"), id="wall_time_s=x"),
+        pytest.param(_log_text(wall_time_s=True), id="wall_time_s=true"),
+        pytest.param(_log_text(wall_time_s="1.5"), id="wall_time_s=string"),
+        pytest.param(_log_text(wall_time_s="nan"), id="wall_time_s=nan"),
         pytest.param(_log_text(original_n=None), id="original_n=null"),
         pytest.param(_log_text(pass_drops=["a"]), id="pass_drops=[a]"),
         pytest.param(_log_text(per_rule_counts=[1]), id="per_rule_counts=[1]"),

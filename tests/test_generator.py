@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import math
 
 import pytest
@@ -8,6 +10,7 @@ from quboreduce.generator import (
     DESK_SIZES, STANDARD_SIZES, DesignRow, GeneratorSpec, design_table,
     generate_benchmark_suite, generate_instance,
 )
+from quboreduce.model import write_instance
 
 
 def connected_components(n, pairs):
@@ -184,3 +187,45 @@ class TestBenchmarkSuite:
             tuple(sorted(item.instance.linear.items())) for item in suite
         }
         assert len(fingerprints) > 1
+
+
+def _pinned_specs():
+    """Benchmark-shaped, suite and tiny specs, including ones that repair connectivity."""
+    row1, row2 = design_table()[0], design_table()[1]
+    specs = [GeneratorSpec.from_design(n, m, row1, seed=seed)
+             for n, m in ((400, 4000), (300, 15000)) for seed in (1, 2)]
+    # the oracle-sweep shape: two thirds of all pairs, no quadratic outliers
+    specs += [GeneratorSpec(
+        n=n, target_edges=n * (n - 1) // 3, upper_bound=10, linear_multiplier=10,
+        quadratic_multiplier=1, pct_quadratic_multiplied=0.0, pct_linear_multiplied=0.2,
+        pct_nonzero_linear=0.25, hub_fraction=0.01, seed=1_000_003 + 7919 * k + 1,
+    ) for k, n in enumerate((15, 16, 17, 18) * 2)]
+    specs += [item.spec for item in generate_benchmark_suite(list(DESK_SIZES), design_table())]
+    specs += [GeneratorSpec.from_design(n, m, row2, seed=7 * n + m, hub_fraction=hub)
+              for n in (1, 2, 3, 5, 9) for m in range(n - 1, math.comb(n, 2) + 1)
+              for hub in (0, 0.5, 1)]
+    return specs
+
+
+def test_pinned_generated_files(monkeypatch):
+    # Generated files are part of the benchmark and of every reproduced
+    # result.  A deliberate change to generated instances re-pins this digest,
+    # with a CHANGES.md entry saying why the files changed.
+    repairs = []
+    repair = generator._connectivity_repair
+
+    def counted(*args):
+        out = repair(*args)
+        if out is not args[-1]:
+            repairs.append(args[0])
+        return out
+
+    monkeypatch.setattr(generator, "_connectivity_repair", counted)
+    digest = hashlib.sha256()
+    for spec in _pinned_specs():
+        text = io.StringIO()
+        write_instance(generate_instance(spec), text)
+        digest.update(text.getvalue().encode())
+    assert repairs  # n = 9, m = 12, hub_fraction = 0, seed 75 repairs
+    assert digest.hexdigest() == (
+        "25c14324e7cd9ca51599bc2985de601750fbd11503f69bb6b05e33aa0676b47b")
