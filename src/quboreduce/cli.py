@@ -24,10 +24,10 @@ import time
 
 from . import engine, generator, oracle, rules
 from .model import QuboInstance, read_instance, write_instance
-from .state import COMPLEMENT_OF, SAME_AS
 
-_IDENTITY_NAMES = {SAME_AS: "same", COMPLEMENT_OF: "complement"}
-_IDENTITY_CODES = {v: k for k, v in _IDENTITY_NAMES.items()}
+# An identity x_h = a + b * x_i by its log name: (a, b) per name, name per b.
+_IDENTITY_FORMS = {"same": (0, 1), "complement": (1, -1)}
+_IDENTITY_NAMES = {b: name for name, (_, b) in _IDENTITY_FORMS.items()}
 LOG_FORMAT = "quboreduce-log/1"
 
 
@@ -57,10 +57,9 @@ def log_document(
         "format": LOG_FORMAT,
         "original_n": original.n,
         "survivors": solution_map.survivors,
-        "assignments": [[v, val] for v, val in solution_map.assignments],
+        "assignments": [[h, a] for h, a, b, _ in solution_map.eliminations if not b],
         "identities": [
-            [dropped, _IDENTITY_NAMES[kind], kept]
-            for dropped, kind, kept in solution_map.identities
+            [h, _IDENTITY_NAMES[b], i] for h, _, b, i in solution_map.eliminations if b
         ],
         "offset": reduced.offset,
         "passes": log.pass_count,
@@ -97,6 +96,11 @@ def log_document(
     return doc
 
 
+def _refuse_constant(name: str):
+    """``json.load`` takes NaN and Infinity, which JSON does not have."""
+    raise ValueError(f"malformed log document: {name} is not a JSON number")
+
+
 def read_log(path, parse):
     """Load the log document at ``path`` and return ``parse(doc)``.
 
@@ -105,7 +109,7 @@ def read_log(path, parse):
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_constant)
         except RecursionError as exc:  # nesting deeper than the decoder recurses
             raise ValueError(f"malformed log document: {exc}") from None
     if not isinstance(doc, dict) or "format" not in doc:
@@ -143,14 +147,12 @@ def _number(value) -> int | float:
 
 
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
-    return engine.SolutionMap(
-        assignments=[(_int(v), _int(val)) for v, val in _field(doc, "assignments")],
-        identities=[
-            (_int(dropped), _IDENTITY_CODES[kind], _int(kept))
-            for dropped, kind, kept in _field(doc, "identities")
-        ],
-        survivors=[_int(v) for v in _field(doc, "survivors")],
-    )
+    """The map of a log document: its identities in logged order, then its fixes,
+    so that the newest-first lift sets every fix before an identity reads it."""
+    fixes = [(_int(h), _int(a), 0, h) for h, a in _field(doc, "assignments")]
+    identities = [(_int(h), *_IDENTITY_FORMS[name], _int(i))
+                  for h, name, i in _field(doc, "identities")]
+    return engine.SolutionMap(identities + fixes, [_int(v) for v in _field(doc, "survivors")])
 
 
 def report_table(doc: dict) -> str:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rules
 from .model import EdgeTable, QuboInstance, int_array
-from .state import FREE, SAME_AS, ReductionState, init_state
+from .state import FREE, ReductionState, init_state
 
 @dataclass
 class LoggedEvent:
@@ -77,12 +77,11 @@ class PassSummary:
 class SolutionMap:
     """Everything needed to lift a reduced solution back to the original.
 
-    Each original variable appears in exactly one of assignments (fixed),
-    identities (substituted away, in recording order), or survivors.
+    Each original variable is a survivor or the h of exactly one elimination
+    ``(h, a, b, i)``, x_h = a + b * x_i, listed in the order applied.
     """
 
-    assignments: list[tuple[int, int]]
-    identities: list[tuple[int, int, int]]  # (dropped, SAME_AS | COMPLEMENT_OF, kept)
+    eliminations: list[tuple[int, int, int, int]]
     survivors: list[int]
 
 
@@ -91,19 +90,16 @@ def reconstruct_solution(
 ) -> dict[int, int]:
     """Total original assignment from an assignment of the survivors.
 
-    Fixed values are absolute, so they are installed together with the
-    survivor values; identities are then resolved newest-first, which
-    guarantees every referent already has a value.
+    Eliminations are resolved newest first: x_i outlived x_h, so it already
+    has a value when x_h is set (a fix, with b == 0, reads none).
     """
     if set(reduced_solution) != set(solution_map.survivors):
         raise ValueError("reduced solution must cover exactly the survivors")
     values = {v: int(reduced_solution[v]) for v in solution_map.survivors}
-    for var, val in solution_map.assignments:
-        values[var] = val
-    for dropped, kind, kept in reversed(solution_map.identities):
-        if kept not in values:
-            raise RuntimeError(f"identity for {dropped} references unresolved {kept}")
-        values[dropped] = values[kept] if kind == SAME_AS else 1 - values[kept]
+    for h, a, b, i in reversed(solution_map.eliminations):
+        if b and i not in values:
+            raise RuntimeError(f"identity for {h} references unresolved {i}")
+        values[h] = a + b * values[i] if b else a
     return values
 
 
@@ -384,11 +380,7 @@ def run_to_fixed_point(
         if not reducer.run_pass(pass_no).drops and not reducer.run_residual(pass_no):
             break
     survivors = state.free_variables()
-    reduced = _dense_reduced(state, survivors)
-    solution_map = SolutionMap(
-        list(state.assignment_log), list(state.identity_log), survivors
-    )
-    return reduced, log, solution_map
+    return _dense_reduced(state, survivors), log, SolutionMap(state.eliminations, survivors)
 
 
 def verify_fixed_point(state: ReductionState) -> bool:

@@ -38,9 +38,11 @@ def canonical_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-# Edges converted to Python values, or written, at a time: one join of a
-# 500,000-line q block costs ~30 MB.
+# Array entries converted to Python values, or edges written, at a time (here
+# and in the state's set-up): one join of a 500,000-line q block costs ~30 MB.
 _BLOCK = 1 << 13
+# The coefficient types an instance holds.
+_INTEGER = (int, np.integer)
 
 
 def int_array(values: list[int]) -> np.ndarray:
@@ -139,15 +141,22 @@ class QuboInstance:
             raise ValueError(f"variable count must be nonnegative, got {self.n}")
         if self.n >= sys.maxsize:  # rows are indexed 0..n
             raise ValueError(f"variable count {self.n} exceeds the index range")
+        if not isinstance(self.offset, _INTEGER):
+            raise ValueError(f"offset {self.offset!r} is not an integer")
         for i, v in self.linear.items():
             if not 1 <= i <= self.n:
                 raise ValueError(f"linear index {i} outside 1..{self.n}")
             if v == 0:
                 raise ValueError(f"zero linear coefficient stored at {i}")
+            if not isinstance(v, _INTEGER):
+                raise ValueError(f"linear coefficient {v!r} at {i} is not an integer")
         items = self.quadratic.items()
         if isinstance(self.quadratic, EdgeTable):
             # Checked as arrays: the first bad pair gets its message below.
             lo, hi, d = edge_arrays(self.quadratic)
+            if d.dtype != np.int64 and not (
+                    d.dtype == object and all(isinstance(v, _INTEGER) for v in d)):
+                raise ValueError(f"edge values of dtype {d.dtype} are not exact integers")
             bad = ((lo < 1) | (hi > self.n) | (lo >= hi) | (d == 0)).nonzero()[0][:1]
             items = [((int(lo[k]), int(hi[k])), d[k]) for k in bad]
             if not items:
@@ -159,6 +168,8 @@ class QuboInstance:
                 raise ValueError(f"pair ({i}, {j}) is not in canonical i < j order")
             if v == 0:
                 raise ValueError(f"zero quadratic coefficient stored at ({i}, {j})")
+            if not isinstance(v, _INTEGER):
+                raise ValueError(f"quadratic coefficient {v!r} at ({i}, {j}) is not an integer")
 
     @classmethod
     def without_zeros(cls, n: int, linear: Mapping[int, int],

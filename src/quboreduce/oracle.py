@@ -147,7 +147,7 @@ def check_equivalence(
             f"reduced instance has {reduced.n} variables but the map lists "
             f"{len(solution_map.survivors)} survivors"
         )
-    listed = [v for v, *_ in solution_map.assignments + solution_map.identities]
+    listed = [h for h, *_ in solution_map.eliminations]
     if sorted(listed + solution_map.survivors) != list(range(1, original.n + 1)):
         raise ValueError(f"the map's assignments, identities and survivors do not "
                          f"list each of 1..{original.n} once")

@@ -12,7 +12,8 @@ and one method applies it: a fix is (a, b) = (value, 0), ``x_h = x_i`` is
 (0, 1) and ``x_h = 1 - x_i`` is (1, -1).  ``apply_fix`` and the two
 substitution operations call it, and it keeps every derived quantity
 incrementally consistent: a value removed at a row's extreme rescans the
-row, and a new value past the extreme becomes it.
+row, and a new value past the extreme becomes it.  Each elimination is
+recorded as ``(h, a, b, i)`` in ``eliminations``, the run's whole record.
 
 The constructor works on the edge arrays: a stable sort by row, then
 ``reduceat`` per row for sums and extremes, on int64 while exact and on
@@ -27,17 +28,11 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .model import QuboInstance, edge_arrays
+from .model import _BLOCK, QuboInstance, edge_arrays
 
 # Variable status codes.
 FREE = 0
-FIXED_ZERO = 1
-FIXED_ONE = 2
-SAME_AS = 3        # x_var == x_ref
-COMPLEMENT_OF = 4  # x_var == 1 - x_ref
-
-# Row entries converted to Python values at a time.
-_BLOCK = 1 << 13
+ELIMINATED = 1
 
 
 class ReductionState:
@@ -47,7 +42,7 @@ class ReductionState:
         "n", "offset", "c", "adj", "d_minus", "d_plus",
         "min_val", "max_val",
         "status", "live_count", "events", "touched",
-        "assignment_log", "identity_log", "setup_edges", "setup_screen",
+        "eliminations", "setup_edges", "setup_screen",
     )
 
     def __init__(self, instance: QuboInstance):
@@ -106,8 +101,7 @@ class ReductionState:
         # (c_v, incident edges, hence sums and extremes); the engine skips
         # re-deriving conclusions whose input rows are unchanged.
         self.touched = [0] * (n + 1)
-        self.assignment_log: list[tuple[int, int]] = []
-        self.identity_log: list[tuple[int, int, int]] = []  # (dropped, kind, kept)
+        self.eliminations: list[tuple[int, int, int, int]] = []  # (h, a, b, i)
 
     # -- queries ---------------------------------------------------------
 
@@ -128,8 +122,8 @@ class ReductionState:
 
     # -- mutations -------------------------------------------------------
 
-    def _eliminate(self, h: int, a: int, b: int, i: int, status: int) -> None:
-        """Substitute x_h := a + b * x_i into the objective and retire h.
+    def _eliminate(self, h: int, a: int, b: int, i: int) -> None:
+        """Substitute x_h := a + b * x_i into the objective, retire h and record it.
 
         (a, b) is (value, 0) for a fix, (0, 1) for x_h = x_i and (1, -1)
         for x_h = 1 - x_i; x_i is read only when b is nonzero.  The constant
@@ -204,25 +198,23 @@ class ReductionState:
         if b:
             self.recompute_row_extremes(i)
         c[h] = d_minus[h] = d_plus[h] = max_val[h] = min_val[h] = 0
-        self.status[h] = status
+        self.status[h] = ELIMINATED
         self.live_count -= 1
+        self.eliminations.append((h, a, b, i))
 
     def apply_fix(self, i: int, value: int) -> None:
         """Fix x_i = value: x_i := value + 0 * x_i."""
         if value not in (0, 1):
             raise ValueError(f"fix value must be 0 or 1, got {value!r}")
-        self._eliminate(i, value, 0, i, FIXED_ONE if value else FIXED_ZERO)
-        self.assignment_log.append((i, value))
+        self._eliminate(i, value, 0, i)
 
     def apply_substitution_complement(self, i: int, h: int) -> None:
         """Replace x_h by 1 - x_i, eliminating variable h."""
-        self._eliminate(h, 1, -1, i, COMPLEMENT_OF)
-        self.identity_log.append((h, COMPLEMENT_OF, i))
+        self._eliminate(h, 1, -1, i)
 
     def apply_substitution_equal(self, i: int, h: int) -> None:
         """Replace x_h by x_i, eliminating variable h."""
-        self._eliminate(h, 0, 1, i, SAME_AS)
-        self.identity_log.append((h, SAME_AS, i))
+        self._eliminate(h, 0, 1, i)
 
 
 def init_state(instance: QuboInstance) -> ReductionState:

@@ -153,7 +153,7 @@ def legacy_state(instance: QuboInstance) -> ReductionState:
     st.live_count = n
     st.events = 0
     st.touched = [0] * (n + 1)
-    st.assignment_log, st.identity_log = [], []
+    st.eliminations = []
     return st
 
 
@@ -190,7 +190,7 @@ def check_consistency(st: ReductionState) -> None:
 
 LEGACY_SLOTS = (
     "n", "offset", "c", "d_minus", "d_plus", "min_val", "max_val", "status",
-    "live_count", "events", "touched", "assignment_log", "identity_log",
+    "live_count", "events", "touched", "eliminations",
 )
 
 

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, sweep_instance
 from quboreduce import engine, generator
-from quboreduce.cli import main
+from quboreduce.cli import log_document, main, solution_map_from_document
 from quboreduce.model import read_instance, write_instance
+from quboreduce.oracle import brute_force_solve
 
 
 def run(argv):
@@ -387,6 +388,48 @@ class TestReduceVerify:
         assert run(["verify", src, red, log]) == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_verify_rejects_non_standard_constant(self, tmp_path, capsys):
+        # verify never reads wall_time_s, so only the loader can refuse NaN
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        doc = json.loads(log.read_text())
+        log.write_text(json.dumps({**doc, "wall_time_s": float("nan")}))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed log document: NaN" in captured.err
+        assert "verified" not in captured.out
+
+    def test_document_map_lifts_as_the_run_map(self):
+        # A log lists fixes and identities apart.  Read back with the
+        # identities first, the newest-first lift sets every fix before an
+        # identity whose partner was fixed later reads it.
+        fixed_later = 0
+        for t in range(300):
+            inst = sweep_instance(t)
+            reduced, log, smap = engine.run_to_fixed_point(inst)
+            doc = json.loads(json.dumps(log_document(inst, reduced, log, smap, 0.0)))
+            back = solution_map_from_document(doc)
+            for bits in brute_force_solve(reduced).optima:
+                y = dict(zip(smap.survivors, bits))
+                assert engine.reconstruct_solution(back, y) == engine.reconstruct_solution(smap, y)
+            fixed_at = {h: k for k, (h, _, b, _) in enumerate(smap.eliminations) if not b}
+            fixed_later += any(b and fixed_at.get(i, -1) > k
+                               for k, (_, _, b, i) in enumerate(smap.eliminations))
+        assert fixed_later >= 10
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 17])
+    def test_verify_identity_whose_partner_is_fixed_later(self, tmp_path, t):
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        write_instance(sweep_instance(t), src)
+        assert run(["reduce", src, "-o", red, "--log", log]) == 0
+        assert run(["verify", src, red, log]) == 0
+
     def test_reduce_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
         def no_memory(instance):
             raise MemoryError
@@ -505,6 +548,9 @@ class TestReport:
         pytest.param(_log_text(wall_time_s=True), id="wall_time_s=true"),
         pytest.param(_log_text(wall_time_s="1.5"), id="wall_time_s=string"),
         pytest.param(_log_text(wall_time_s="nan"), id="wall_time_s=nan"),
+        pytest.param(_log_text(wall_time_s=float("nan")), id="wall_time_s=NaN"),
+        pytest.param(_log_text(wall_time_s=float("inf")), id="wall_time_s=Infinity"),
+        pytest.param(_log_text(wall_time_s=float("-inf")), id="wall_time_s=-Infinity"),
         pytest.param(_log_text(original_n=None), id="original_n=null"),
         pytest.param(_log_text(pass_drops=["a"]), id="pass_drops=[a]"),
         pytest.param(_log_text(per_rule_counts=[1]), id="per_rule_counts=[1]"),

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     optima_by_enumeration, random_instance, replay, shuffled_instance, sweep_instance,
 )
 from quboreduce import rules
+from quboreduce.cli import log_document
 from quboreduce.engine import (
     ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced, _Reducer,
     reconstruct_solution, run_first_pass, run_residual_pass, run_to_fixed_point,
@@ -17,7 +19,7 @@ from quboreduce.engine import (
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate, write_instance
 from quboreduce.oracle import brute_force_solve, check_equivalence
-from quboreduce.state import COMPLEMENT_OF, SAME_AS, init_state
+from quboreduce.state import init_state
 
 TRIPLE = build_from_triplets(
     3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
@@ -524,24 +526,21 @@ class TestReconstructSolution:
         assert full == {1: 0, 2: 1, 3: 1}
 
     def test_single_identity(self):
-        smap = SolutionMap([], [(2, COMPLEMENT_OF, 1)], [1])
+        smap = SolutionMap([(2, 1, -1, 1)], [1])
         assert reconstruct_solution(smap, {1: 0}) == {1: 0, 2: 1}
 
     def test_chain_through_fix(self):
-        smap = SolutionMap(
-            [(1, 1)],
-            [(3, SAME_AS, 2), (2, COMPLEMENT_OF, 1)],
-            [],
-        )
+        # x3 = x2, then x2 = 1 - x1, then x1 = 1
+        smap = SolutionMap([(3, 0, 1, 2), (2, 1, -1, 1), (1, 1, 0, 1)], [])
         assert reconstruct_solution(smap, {}) == {1: 1, 2: 0, 3: 0}
 
     def test_wrong_survivor_cover_rejected(self):
-        smap = SolutionMap([], [], [1, 2])
+        smap = SolutionMap([], [1, 2])
         with pytest.raises(ValueError):
             reconstruct_solution(smap, {1: 0})
 
     def test_unresolvable_reference_raises(self):
-        smap = SolutionMap([], [(2, SAME_AS, 3)], [1])
+        smap = SolutionMap([(2, 0, 1, 3)], [1])
         with pytest.raises(RuntimeError):
             reconstruct_solution(smap, {1: 0})
 
@@ -583,25 +582,22 @@ class TestMultiPass:
         assert verify_fixed_point(init_state(reduced))
 
     def test_pinned_sweep_outputs(self):
-        # One digest over everything 1,000 small mined runs produce: events,
-        # inequality records, pass drops, rule counts, solution map and
-        # reduced instance.  Refactors keep it; a deliberate change of fixed
-        # point (such as one scheduler for every rule) re-pins it and says
-        # so in CHANGES.md.
+        # One digest over what 1,000 small mined runs write: the log document
+        # without its wall time (events, inequality records, passes, rule
+        # counts, solution map, offset) and the reduced instance.  Refactors
+        # keep it; a deliberate change of fixed point (such as one scheduler
+        # for every rule) re-pins it and says so in CHANGES.md.
         digest = hashlib.sha256()
         for t in range(1000):
-            reduced, log, smap = run_to_fixed_point(sweep_instance(t), True)
-            for e in log.events:
-                digest.update(f"{e.pass_number} {e.verdict!r} {e.live_after}\n".encode())
-            for r in log.inequality_records:
-                digest.update(
-                    f"{r.pass_number} {r.verdict!r} {r.m_bound} {r.snapshot_id}\n".encode())
-            digest.update(repr((log.pass_drops, sorted(log.per_rule_counts.items()),
-                                smap.assignments, smap.identities, smap.survivors)).encode())
+            inst = sweep_instance(t)
+            reduced, log, smap = run_to_fixed_point(inst, True)
+            doc = log_document(inst, reduced, log, smap, 0.0)
+            del doc["wall_time_s"]
+            digest.update(json.dumps(doc).encode())
             text = io.StringIO()
             write_instance(reduced, text)
             digest.update(text.getvalue().encode())
-        assert digest.hexdigest()[:16] == "447e9183d0ffd9e7"
+        assert digest.hexdigest()[:16] == "b134a4071c06544d"
 
     def test_pinned_mined_records(self):
         # generate --size 2000 --edges 20000 --seed 42 --design-row 1, mined:

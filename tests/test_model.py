@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ class TestBuildFromTriplets:
         # a state indexes its rows 0..n
         with pytest.raises(ValueError, match="exceeds the index range"):
             QuboInstance(sys.maxsize, {}, {}, 0)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: QuboInstance(2, {1: -1}, {(1, 2): 2.5}), id="float-pair"),
+        pytest.param(lambda: QuboInstance(2, {1: 0.5}, {(1, 2): 3}), id="float-linear"),
+        pytest.param(lambda: QuboInstance(2, {1: 1}, {}, 0.5), id="float-offset"),
+        pytest.param(lambda: QuboInstance(2, {1: Fraction(1, 2)}, {}), id="fraction-linear"),
+        pytest.param(lambda: QuboInstance(2, {}, {(1, 2): Fraction(3)}), id="fraction-pair"),
+        pytest.param(lambda: QuboInstance(2, {}, EdgeTable(
+            np.array([1]), np.array([2]), np.array([2.5]))), id="float64-table"),
+        pytest.param(lambda: QuboInstance(2, {}, EdgeTable(
+            np.array([1]), np.array([2]), np.array([2.5], dtype=object))), id="float-object-table"),
+    ])
+    def test_non_integer_coefficient_rejected_by_constructor(self, make):
+        # the engine reduces integers: it would store 2.5 as 2 and reduce
+        # another problem than the one evaluate() scores
+        with pytest.raises(ValueError, match="integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        inst = QuboInstance(2, {1: np.int64(-1)}, {(1, 2): np.int32(3)}, np.int64(2))
+        assert evaluate(inst, [1, 1]) == 4
 
 
 class TestEvaluate:

@@ -9,7 +9,6 @@ from quboreduce.engine import SolutionMap
 from quboreduce.model import QuboInstance, build_from_triplets
 from quboreduce import oracle
 from quboreduce.oracle import brute_force_solve, check_equivalence
-from quboreduce.state import SAME_AS
 
 
 class TestBruteForce:
@@ -149,7 +148,7 @@ class TestCheckEquivalence:
 
     def test_identity_reduction_passes(self):
         inst = build_from_triplets(2, [(1, 1, 1)])
-        smap = SolutionMap([], [], [1, 2])
+        smap = SolutionMap([], [1, 2])
         assert check_equivalence(inst, inst, smap).ok
 
     def test_corrupted_map_fails_with_counterexample(self):
@@ -157,12 +156,8 @@ class TestCheckEquivalence:
             3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
         )
         reduced, _, smap = run_to_fixed_point(inst)
-        bad = SolutionMap(
-            [(v, 1 - val) if v == smap.assignments[0][0] else (v, val)
-             for v, val in smap.assignments],
-            list(smap.identities),
-            list(smap.survivors),
-        )
+        (h, a, b, i), *rest = smap.eliminations
+        bad = SolutionMap([(h, 1 - a, b, i), *rest], list(smap.survivors))
         report = check_equivalence(inst, reduced, bad)
         assert not report.ok
         assert report.counterexample is not None
@@ -172,15 +167,15 @@ class TestCheckEquivalence:
             3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
         )
         reduced, _, smap = run_to_fixed_point(inst)
-        fixed = smap.assignments
-        assert reduced.n == 0 and len(fixed) == 3 and not smap.identities
-        for bad in (SolutionMap(fixed, [(1, SAME_AS, 1)], []),
-                    SolutionMap(fixed + fixed[:1], [], []),
-                    SolutionMap(fixed[1:], [], [])):
+        fixed = smap.eliminations
+        assert reduced.n == 0 and len(fixed) == 3 and not any(b for _, _, b, _ in fixed)
+        for bad in (SolutionMap(fixed + [(1, 0, 1, 1)], []),
+                    SolutionMap(fixed + fixed[:1], []),
+                    SolutionMap(fixed[1:], [])):
             with pytest.raises(ValueError, match=r"do not list each of 1\.\.3 once"):
                 check_equivalence(inst, reduced, bad)
 
     def test_refuses_oversized(self):
         inst = QuboInstance(30, {}, {}, 0)
         with pytest.raises(ValueError):
-            check_equivalence(inst, inst, SolutionMap([], [], list(range(1, 31))))
+            check_equivalence(inst, inst, SolutionMap([], list(range(1, 31))))

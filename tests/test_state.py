@@ -10,7 +10,7 @@ from conftest import (
 from quboreduce.model import EdgeTable, QuboInstance, build_from_triplets, edge_arrays, evaluate
 from quboreduce.oracle import brute_force_solve
 from quboreduce.rules import pair_may_fire
-from quboreduce.state import COMPLEMENT_OF, SAME_AS, ReductionState, init_state
+from quboreduce.state import ELIMINATED, ReductionState, init_state
 
 
 def two_var(c1, c2, d12):
@@ -127,7 +127,7 @@ class TestSubstitutions:
         assert st.offset == 1
         assert st.c[1] == 0 and st.c[3] == 3
         assert st.adj[1].get(3) == -1 and st.adj[3].get(1) == -1
-        assert st.status[2] == COMPLEMENT_OF and st.identity_log == [(2, COMPLEMENT_OF, 1)]
+        assert st.status[2] == ELIMINATED and st.eliminations == [(2, 1, -1, 1)]
         check_consistency(st)
         # both problems have optimum 4
         assert brute_force_solve(snapshot(st)).optimum == 4
@@ -152,7 +152,7 @@ class TestSubstitutions:
         st = init_state(two_var(-1, -1, 2))
         st.apply_substitution_equal(1, 2)
         assert st.c[1] == 0 and not st.adj[1]
-        assert st.status[2] == SAME_AS and st.identity_log == [(2, SAME_AS, 1)]
+        assert st.status[2] == ELIMINATED and st.eliminations == [(2, 0, 1, 1)]
         assert brute_force_solve(snapshot(st)).optimum == 0
 
     def test_equal_without_edge(self):
