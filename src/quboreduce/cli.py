@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -142,8 +143,13 @@ def _int(value, kinds: type | tuple = int, name: str = "integer"):
 
 
 def _number(value) -> int | float:
-    """A JSON number; TypeError for any other value (``float()`` would take "nan")."""
-    return _int(value, (int, float), "number")
+    """A finite JSON number; TypeError for any other value (``float()`` would
+    take "nan"), ValueError for a literal past the float range (``json``
+    reads 1e400 as inf)."""
+    value = _int(value, (int, float), "number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
 
 
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:

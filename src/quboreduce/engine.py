@@ -16,7 +16,8 @@ nothing fires.
 The first pass walks a row's neighbours from the set-up screen while the
 row and its clean neighbours are untouched: the same probes, fewer tests.
 The reduced instance is a sorted edge table built from the set-up arrays
-and the rows of touched survivors.
+and the rows of touched survivors; :func:`verify_fixed_point` judges the same
+live edges on arrays.
 
 Every state change is logged as an event; applying the logged conclusions in
 order with :func:`apply_conclusion` to a fresh state rebuilds each
@@ -336,25 +337,36 @@ def run_residual_pass(state: ReductionState, log: ReductionLog) -> int:
     return _Reducer(state, log).run_residual(max(log.pass_count, 1))
 
 
-def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
-    """The reduced instance over the ascending ``survivors``, renumbered 1..k.
+def _live_edges(state: ReductionState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The state's live edges as arrays ``(lo, hi, d)``, lo < hi, in no set order.
 
-    Edges between untouched rows come from the set-up arrays, the rest from
-    the rows of touched survivors; the edge table is sorted.
+    An edge between untouched rows is as at set-up, so it comes from the
+    set-up arrays; every other edge comes from the row of a touched free
+    variable (an eliminated variable's row is empty).
     """
     lo, hi, d = state.setup_edges
     touched, untouched = state.touched, np.array(state.touched) == 0
     keep = untouched[lo] & untouched[hi]
     # An edge with both rows touched comes from its smaller end.
-    extra = [(v, w, x) if v < w else (w, v, x) for v in survivors if touched[v]
+    extra = [(v, w, x) if v < w else (w, v, x) for v in (~untouched).nonzero()[0].tolist()
              for w, x in state.adj[v].items() if v < w or not touched[w]]
     ea, eb, ed = zip(*extra) if extra else ((), (), ())
+    return (np.concatenate((lo[keep], np.array(ea, dtype=np.int64))),
+            np.concatenate((hi[keep], np.array(eb, dtype=np.int64))),
+            np.concatenate((d[keep], int_array(list(ed)))))
+
+
+def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
+    """The reduced instance over the ascending ``survivors``, renumbered 1..k.
+
+    Its edges are the state's :func:`_live_edges`, in a sorted edge table.
+    """
+    lo, hi, d = _live_edges(state)
     index = np.zeros(state.n + 1, dtype=np.int64)
     index[survivors] = np.arange(1, len(survivors) + 1)
-    a = index[np.concatenate((lo[keep], np.array(ea, dtype=np.int64)))]
-    b = index[np.concatenate((hi[keep], np.array(eb, dtype=np.int64)))]
+    a, b = index[lo], index[hi]
     order = (a * (len(survivors) + 1) + b).argsort(kind="stable")
-    edges = EdgeTable(a[order], b[order], np.concatenate((d[keep], int_array(list(ed))))[order])
+    edges = EdgeTable(a[order], b[order], d[order])
     linear = {k: state.c[v] for k, v in enumerate(survivors, start=1) if state.c[v] != 0}
     return QuboInstance(len(survivors), linear, edges, state.offset)
 
@@ -383,6 +395,46 @@ def run_to_fixed_point(
     return _dense_reduced(state, survivors), log, SolutionMap(state.eliminations, survivors)
 
 
+# Edges the fixed-point check judges at a time: it caps the temporaries.
+_CHECK_BLOCK = 1 << 16
+
+
 def verify_fixed_point(state: ReductionState) -> bool:
-    """Exhaustive check that no rule in the catalog fires anywhere."""
-    return next(rules.catalog_firings(state), None) is None
+    """Exhaustive check that no rule in the catalog fires anywhere.
+
+    The state is judged on arrays.  A free variable fixes when one of its
+    slacks u = c + D^+, w = -(c + D^-) (see :func:`rules.slacks`) is <= 0.
+    Otherwise each of the state's :func:`_live_edges` is judged by the
+    substitution row of its sign in :data:`rules.PAIR_RULES`, on the
+    endpoints' slacks.  No other reducing row can fire where that one does
+    not: with positive slacks, a pair-assignment threshold is a sum of two
+    slacks, each of which one minimum of the substitution threshold of the
+    same sign takes, so it exceeds that threshold.
+
+    No two slacks are added, so the check runs on int64 while max|c| +
+    max(D^+, -D^-), a bound on every slack and every |d|, is below 2^63,
+    and on exact Python integers beyond that.  The bound comes from the
+    current values: a substitution can grow c after the state was built.
+    Edges are judged ``_CHECK_BLOCK`` at a time, and the check ends at the
+    first block where a rule fires.
+    """
+    c, d_plus, d_minus = state.c, state.d_plus, state.d_minus
+    big = max(map(abs, c)) + max(max(d_plus), -min(d_minus))
+    dtype = np.int64 if big < 1 << 63 else object
+    c = np.array(c, dtype=dtype)
+    u, w = c + np.array(d_plus, dtype=dtype), -(c + np.array(d_minus, dtype=dtype))
+    free = np.array(state.status) == FREE
+    free[0] = False  # index 0 is no variable
+    if (np.minimum(u, w)[free] <= 0).any():
+        return False
+    lo, hi, d = _live_edges(state)
+    for k in range(0, len(d), _CHECK_BLOCK):
+        block = slice(k, k + _CHECK_BLOCK)
+        dk = d[block]
+        for pos, sel in ((True, dk > 0), (False, dk < 0)):
+            i, h = lo[block][sel], hi[block][sel]
+            threshold = rules.SUBSTITUTION[pos].threshold(
+                u[i], w[i], u[h], w[h], max=np.maximum, min=np.minimum)
+            if (abs(dk[sel]) >= threshold).any():
+                return False
+    return True

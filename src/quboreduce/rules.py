@@ -12,13 +12,14 @@ rule fires when one slack is <= 0.  A pair rule fires on an edge of its sign
 when |d| reaches a threshold over the endpoints' slacks.  :data:`PAIR_RULES`
 holds every pair rule as one row, in the order the catalog tries them; a
 row's :meth:`PairRule.probe` is the one way to fire it on an edge, and the
-catalog enumerator, the inequality miner and the penalty bounds read their
-thresholds from the same rows.
+fixed-point check (:func:`~quboreduce.engine.verify_fixed_point`, on
+arrays), the inequality miner and the penalty bounds read their thresholds
+from the same rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -145,12 +146,14 @@ class PairRule:
     It fires when |d| >= threshold(u_i, w_i, u_h, w_h), d being the edge's
     weight and u, w the endpoints' :func:`slacks`.  Its verdict is unique
     when |d| > threshold, and max(threshold, 0) bounds the penalty weight
-    that enforces its conclusion.
+    that enforces its conclusion.  A threshold that takes the larger or
+    smaller of two values takes ``max`` and ``min`` as parameters, which
+    default to the builtins; evaluated on arrays, it is given numpy's.
     """
 
     rule_id: str
     sign: int  # +1 for positive edges, -1 for negative ones
-    threshold: Callable[[int, int, int, int], int]
+    threshold: Callable[..., int]
     conclude: Callable[[int, int], Conclusion]
     # An inequality rule reads one endpoint's slack, "i" or "h", so its
     # condition is loosest at that endpoint's extreme edge of the sign.  The
@@ -191,14 +194,15 @@ def _relation(kind: InequalityKind) -> Callable[[int, int], Inequality]:
 PAIR_RULES = (
     PairRule(R3_1, +1, lambda ui, wi, uh, wh: ui + uh, lambda i, h: PairFix(i, 0, h, 0)),
     PairRule(R3_4, +1, lambda ui, wi, uh, wh: wi + wh, lambda i, h: PairFix(i, 1, h, 1)),
-    PairRule(R2_6, +1, lambda ui, wi, uh, wh: max(min(ui, wh), min(wi, uh)), SubstituteEqual),
+    PairRule(R2_6, +1, lambda ui, wi, uh, wh, max=max, min=min: max(min(ui, wh), min(wi, uh)),
+             SubstituteEqual),
     PairRule(R1_1, +1, lambda ui, wi, uh, wh: wi, _relation(InequalityKind.H_LE_I), "i"),
     PairRule(R1_1p, +1, lambda ui, wi, uh, wh: wh, _relation(InequalityKind.I_LE_H), "h"),
     PairRule(R2_2, +1, lambda ui, wi, uh, wh: ui, _relation(InequalityKind.I_LE_H), "i"),
     PairRule(R2_2p, +1, lambda ui, wi, uh, wh: uh, _relation(InequalityKind.H_LE_I), "h"),
     PairRule(R3_2, -1, lambda ui, wi, uh, wh: wi + uh, lambda i, h: PairFix(i, 1, h, 0)),
     PairRule(R3_3, -1, lambda ui, wi, uh, wh: ui + wh, lambda i, h: PairFix(h, 1, i, 0)),
-    PairRule(R2_5, -1, lambda ui, wi, uh, wh: max(min(wi, wh), min(ui, uh)),
+    PairRule(R2_5, -1, lambda ui, wi, uh, wh, max=max, min=min: max(min(wi, wh), min(ui, uh)),
              SubstituteComplement),
     PairRule(R2_1, -1, lambda ui, wi, uh, wh: ui, _relation(InequalityKind.AT_MOST_ONE), "i"),
     PairRule(R2_1p, -1, lambda ui, wi, uh, wh: uh, _relation(InequalityKind.AT_MOST_ONE), "h"),
@@ -210,7 +214,8 @@ PAIR_RULES_BY_ID = {rule.rule_id: rule for rule in PAIR_RULES}
 
 # Keyed by d > 0, in table order: the rules that reduce an edge of that sign;
 # among them the pair assignments, which the scan passes try, and the
-# substitution, which the residual sweep tries; and the rules that mine it.
+# substitution, which the residual sweep and the fixed-point check try; and
+# the rules that mine it.
 _REDUCING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint is None)
              for pos in (True, False)}
 PAIR_ASSIGNMENTS = {pos: tuple(r for r in rows if isinstance(r.conclude(1, 2), PairFix))
@@ -261,40 +266,6 @@ def derive_pair_inequalities(state: ReductionState, i: int, h: int) -> list[Rule
         return []
     slack = (*slacks(state, a), *slacks(state, b))
     return [v for rule in _MINING[d > 0] if (v := rule.judge(abs(d), a, b, *slack))]
-
-
-# --- the whole catalog -------------------------------------------------------
-
-
-def catalog_firings(state: ReductionState) -> Iterator[RuleVerdict]:
-    """Yield every reduction verdict that fires on the state.
-
-    Both fix rules are tried on each free variable; then each edge is probed
-    once with the pair rules of its sign.  Pairs with a fixable endpoint are
-    skipped, since the pair rules presuppose that neither variable fixes.
-    """
-    free = state.free_variables()
-    fixable = set()
-    slack = {}
-    for v in free:
-        for verdict in (rule_fix_one(state, v), rule_fix_zero(state, v)):
-            if verdict:
-                fixable.add(v)
-                yield verdict
-        slack[v] = slacks(state, v)
-    for i in free:
-        if i in fixable:
-            continue
-        ui, wi = slack[i]
-        for h, d in state.adj[i].items():
-            if h < i or h in fixable:
-                continue
-            uh, wh = slack[h]
-            size = abs(d)
-            for rule in _REDUCING[d > 0]:
-                verdict = rule.judge(size, i, h, ui, wi, uh, wh)
-                if verdict:
-                    yield verdict
 
 
 # --- penalty weights -------------------------------------------------------

@@ -116,9 +116,42 @@ def check_verdict_against_optima(verdict, optima) -> bool:
     return any(verdict_holds(verdict.conclusion, x) for x in optima)
 
 
+def reduction_firings(st):
+    """Yield every reduction verdict that fires on the state.
+
+    The scalar reference for :func:`quboreduce.engine.verify_fixed_point`.
+    Both fix rules are tried on each free variable; then each edge is
+    judged once by every reducing row of its sign in ``rules.PAIR_RULES``.
+    Pairs with a fixable endpoint are skipped, since the pair rules
+    presuppose that neither variable fixes.
+    """
+    free = st.free_variables()
+    fixable = set()
+    slack = {}
+    for v in free:
+        for verdict in (rules.rule_fix_one(st, v), rules.rule_fix_zero(st, v)):
+            if verdict:
+                fixable.add(v)
+                yield verdict
+        slack[v] = rules.slacks(st, v)
+    for i in free:
+        if i in fixable:
+            continue
+        ui, wi = slack[i]
+        for h, d in st.adj[i].items():
+            if h < i or h in fixable:
+                continue
+            uh, wh = slack[h]
+            for rule in rules.PAIR_RULES:
+                if rule.endpoint is None and (rule.sign > 0) == (d > 0):
+                    verdict = rule.judge(abs(d), i, h, ui, wi, uh, wh)
+                    if verdict:
+                        yield verdict
+
+
 def catalog_firings(st) -> list:
     """Every rule verdict firing on the given state (pair preconditions honored)."""
-    out = list(rules.catalog_firings(st))
+    out = list(reduction_firings(st))
     fixable = {v.conclusion.var for v in out if isinstance(v.conclusion, rules.Fix)}
     for i in st.free_variables():
         for h in st.adj[i]:

@@ -551,6 +551,8 @@ class TestReport:
         pytest.param(_log_text(wall_time_s=float("nan")), id="wall_time_s=NaN"),
         pytest.param(_log_text(wall_time_s=float("inf")), id="wall_time_s=Infinity"),
         pytest.param(_log_text(wall_time_s=float("-inf")), id="wall_time_s=-Infinity"),
+        pytest.param(_log_text().replace("0.5}", "1e400}"), id="wall_time_s=1e400"),
+        pytest.param(_log_text().replace("0.5}", "-1e400}"), id="wall_time_s=-1e400"),
         pytest.param(_log_text(original_n=None), id="original_n=null"),
         pytest.param(_log_text(pass_drops=["a"]), id="pass_drops=[a]"),
         pytest.param(_log_text(per_rule_counts=[1]), id="per_rule_counts=[1]"),

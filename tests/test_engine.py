@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import random
 
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import (
     RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, check_consistency, dense_reference,
-    optima_by_enumeration, random_instance, replay, shuffled_instance, sweep_instance,
+    optima_by_enumeration, random_instance, reduction_firings, replay, shuffled_instance,
+    sweep_instance,
 )
-from quboreduce import rules
+from quboreduce import engine, rules
 from quboreduce.cli import log_document
 from quboreduce.engine import (
     ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced, _Reducer,
@@ -24,6 +26,23 @@ from quboreduce.state import init_state
 TRIPLE = build_from_triplets(
     3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
 )
+
+# No rule fires here.  With K = 3 * 2^58 every coefficient and row sum fits
+# int64, but x1's slacks are u_1 = 15K and w_1 = K.
+NEAR_INT64_LIMIT = build_from_triplets(4, [
+    (i, j, v * (3 << 58)) for i, j, v in (
+        (1, 1, 8), (2, 2, -3), (3, 3, 7), (4, 4, -3),
+        (1, 2, 4), (1, 3, -9), (1, 4, 3), (2, 4, -8), (3, 4, 3))
+])
+
+# No fix fires in either instance, and the edge (2, 3) alone reaches a
+# reducing row: exactly that substitution row's threshold.  Taking 1 off c_v
+# raises the threshold one above |d_23|, and then no rule fires.
+SUBSTITUTION_BOUNDARIES = {
+    "R2_6": (4, [(1, 1, 1), (3, 3, -1), (4, 4, 4), (1, 2, 1), (1, 3, 2), (1, 4, -2),
+                 (2, 3, 5), (2, 4, -3), (3, 4, -4)], 3),
+    "R2_5": (3, [(1, 1, 1), (2, 2, 2), (3, 3, 4), (1, 2, -2), (1, 3, -5), (2, 3, -5)], 2),
+}
 
 
 def disjoint_union(a: QuboInstance, b: QuboInstance) -> QuboInstance:
@@ -169,6 +188,63 @@ class TestVerifyFixedPoint:
 
     def test_true_on_rule_silent_instance(self):
         assert verify_fixed_point(init_state(RULE_SILENT))
+
+    @pytest.mark.parametrize("block", [1 << 16, 3])
+    def test_matches_the_scalar_reference(self, block, monkeypatch):
+        # Fresh, mid-run and final states of sweep instances and of tie-heavy
+        # draws, on int64 (scale 1) and on Python integers (2^62, 10^30), in
+        # one block and in many.
+        monkeypatch.setattr(engine, "_CHECK_BLOCK", block)
+        rng = random.Random(77)
+        instances = [sweep_instance(t) for t in range(300)]
+        instances += [shuffled_instance(rng, scale) for scale in (1, 2**62, 10**30)
+                      for _ in range(40)]
+        instances.append(NEAR_INT64_LIMIT)
+        seen = {"fixed point": 0, "pair fires": 0, "tie": 0}
+        for inst in instances:
+            reduced, log, _ = run_to_fixed_point(inst)
+            # replay yields one state, mutated between steps.
+            for st in itertools.chain(replay(inst, log.events), [init_state(reduced)]):
+                firings = list(reduction_firings(st))
+                assert verify_fixed_point(st) == (not firings), f"events={st.events}"
+                pairs = [v for v in firings if not isinstance(v.conclusion, rules.Fix)]
+                seen["fixed point"] += not firings
+                seen["pair fires"] += len(pairs) == len(firings) > 0
+                seen["tie"] += any(not v.unique for v in pairs)
+        assert min(seen.values()) > 0, seen
+
+    def test_slacks_past_int64(self):
+        # Every coefficient and row sum fits int64, but x1's slack
+        # u_1 = c_1 + D_1^+ = 15K does not: int64 would wrap it negative.
+        st = init_state(NEAR_INT64_LIMIT)
+        stored = max(max(map(abs, st.c)), max(st.d_plus), -min(st.d_minus))
+        assert stored < 1 << 63 <= rules.slacks(st, 1)[0]
+        assert not any(reduction_firings(st))
+        assert verify_fixed_point(st)
+
+    @pytest.mark.parametrize("rid", SUBSTITUTION_BOUNDARIES)
+    def test_substitution_row_at_its_boundary(self, rid):
+        n, triplets, v = SUBSTITUTION_BOUNDARIES[rid]
+        row = rules.PAIR_RULES_BY_ID[rid]
+        at = init_state(build_from_triplets(n, triplets))
+        below = init_state(build_from_triplets(n, triplets + [(v, v, -1)]))
+        for st, gap in ((at, 0), (below, 1)):
+            assert all(min(rules.slacks(st, x)) > 0 for x in st.free_variables())
+            threshold = row.threshold(*rules.slacks(st, 2), *rules.slacks(st, 3))
+            assert threshold - abs(st.adj[2][3]) == gap
+        assert list(reduction_firings(at)) == [rules.RuleVerdict(rid, row.conclude(2, 3), False)]
+        assert not any(reduction_firings(below))
+        assert not verify_fixed_point(at)
+        assert verify_fixed_point(below)
+
+    def test_pair_assignments_never_fire_alone(self):
+        # Why the check judges an edge by its substitution row alone: with
+        # positive slacks, every pair-assignment threshold exceeds the
+        # substitution threshold of its sign.
+        for slack in itertools.product((1, 2, 3, 5, 2**62, 10**30), repeat=4):
+            for pos in (True, False):
+                below = rules.SUBSTITUTION[pos].threshold(*slack)
+                assert all(row.threshold(*slack) > below for row in rules.PAIR_ASSIGNMENTS[pos])
 
 
 class TestResidual:

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import (
     catalog_firings as _catalog_firings, check_verdict_against_optima,
-    optima_by_enumeration, random_instance, replay, restricted_optimum,
-    snapshot, sweep_instance,
+    optima_by_enumeration, random_instance, reduction_firings, replay,
+    restricted_optimum, snapshot, sweep_instance,
 )
 from quboreduce import rules
 from quboreduce.engine import run_to_fixed_point
@@ -307,7 +307,7 @@ PREDICATES = {rid: ROW[rid].probe for rid in ("R3_1", "R3_4", "R2_6", "R3_2", "R
 
 def screen_rejects_a_firing_edge(st) -> str | None:
     """An edge where a pair verdict exists but the slack screen fails, if any."""
-    for verdict in rules.catalog_firings(st):
+    for verdict in reduction_firings(st):
         concl = verdict.conclusion
         if not isinstance(concl, Fix) and not rules.pair_may_fire(st, concl.i, concl.h):
             return f"{verdict} at events={st.events}"
