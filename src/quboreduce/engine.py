@@ -58,8 +58,12 @@ class ReductionLog:
 
     events: list[LoggedEvent] = field(default_factory=list)
     inequality_records: list[InequalityRecord] = field(default_factory=list)
-    per_rule_counts: Counter = field(default_factory=Counter)
     pass_drops: list[int] = field(default_factory=list)
+
+    @property
+    def per_rule_counts(self) -> Counter:
+        """Firings per rule id, in first-firing order."""
+        return Counter(ev.verdict.rule_id for ev in self.events)
 
     @property
     def pass_count(self) -> int:
@@ -164,9 +168,7 @@ def apply_conclusion(state: ReductionState, concl: rules.Conclusion) -> None:
 
 
 class _Reducer:
-    def __init__(
-        self, state: ReductionState, log: ReductionLog, emit_inequalities: bool = False
-    ):
+    def __init__(self, state: ReductionState, log: ReductionLog, emit_inequalities: bool = False):
         self.s = state
         self.log = log
         self.emit_inequalities = emit_inequalities
@@ -182,7 +184,6 @@ class _Reducer:
     def _apply(self, pass_no: int, verdict: rules.RuleVerdict) -> None:
         apply_conclusion(self.s, verdict.conclusion)
         self.log.events.append(LoggedEvent(pass_no, verdict, self.s.live_count))
-        self.log.per_rule_counts[verdict.rule_id] += 1
 
     def _examine_fix(self, v: int) -> rules.RuleVerdict | None:
         # Zero before one so a dead-even variable lands on the zero side.
@@ -295,46 +296,27 @@ class _Reducer:
         sched = self.sched
         sched.refresh(s)
         status, adj = s.status, s.adj
-        a, b = sched.a_flag, sched.b_flag
-        c, d = sched.c_flag, sched.d_flag
-        complement, equal = rules.SUBSTITUTION[False], rules.SUBSTITUTION[True]
+        a, b, c, d = sched.a_flag, sched.b_flag, sched.c_flag, sched.d_flag
         hits = 0
-        for i in sched.ab_list:
-            if status[i] != FREE:
-                continue
-            for h, w in adj[i].items():
-                if (w < 0 and (a[i] or a[h]) and (b[i] or b[h])
-                        and rules.pair_may_fire(s, i, h)):
-                    verdict = complement.probe(s, i, h)
-                    if verdict is not None:
-                        self._residual_hit(pass_no, verdict)
-                        hits += 1
-                        break
-        for i in sched.cd_list:
-            if status[i] != FREE:
-                continue
-            for h, w in adj[i].items():
-                if (w > 0 and (c[i] or d[h]) and (d[i] or c[h])
-                        and rules.pair_may_fire(s, i, h)):
-                    verdict = equal.probe(s, i, h)
-                    if verdict is not None:
-                        self._residual_hit(pass_no, verdict)
-                        hits += 1
-                        break
+        # Complements first, then equalities; each screen is (p_i or q_h) and (r_i or t_h).
+        for todo, pos, (p, q, r, t) in ((sched.ab_list, False, (a, a, b, b)),
+                                        (sched.cd_list, True, (c, d, d, c))):
+            rule = rules.SUBSTITUTION[pos]
+            for i in todo:
+                if status[i] != FREE:
+                    continue
+                for h, w in adj[i].items():
+                    if ((w > 0) == pos and (p[i] or q[h]) and (r[i] or t[h])
+                            and rules.pair_may_fire(s, i, h)):
+                        verdict = rule.probe(s, i, h)
+                        if verdict is not None:
+                            self._residual_hit(pass_no, verdict)
+                            hits += 1
+                            break
         return hits
 
 
 # --- public entry points ---------------------------------------------------
-
-
-def run_first_pass(state: ReductionState, log: ReductionLog) -> PassSummary:
-    """Run one scan pass over every free row of an existing state."""
-    return _Reducer(state, log).run_pass(log.pass_count + 1)
-
-
-def run_residual_pass(state: ReductionState, log: ReductionLog) -> int:
-    """Run the residual substitution sweep; returns the substitution count."""
-    return _Reducer(state, log).run_residual(max(log.pass_count, 1))
 
 
 def _live_edges(state: ReductionState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,9 +10,9 @@ the unordered pair ``{i, j}``.  Coefficients are exact integers and entries
 that are exactly zero are never stored, so sign-based neighbourhood sums
 quantify only over real edges.
 
-``quadratic`` is a ``dict`` or an :class:`EdgeTable` over arrays: the bulk
-parser and the engine produce tables, so a large instance travels from file
-to state and back as arrays (:func:`edge_arrays` gives either kind's).
+``quadratic`` is always an :class:`EdgeTable`: the constructor turns any other
+mapping into one, in its iteration order, and checks the edges on its arrays,
+so an instance travels from file to state and back as arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import io
 import re
 import sys
 from collections.abc import ItemsView, Iterable, Mapping, Sequence
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -57,8 +57,9 @@ class EdgeTable(Mapping):
     """Read-only map ``{(lo[k], hi[k]): d[k]}`` over three arrays, in array order.
 
     ``lo``, ``hi`` are int64; ``d`` is int64, or object when a value exceeds
-    int64.  Iteration converts a block at a time; the first keyed lookup
-    builds a dict.  A table equals any mapping with the same items.
+    int64.  Iteration converts a block at a time; the first keyed lookup, or
+    the first iteration of a one-block table, builds a dict.  A table equals
+    any mapping with the same items.
     """
 
     __slots__ = ("lo", "hi", "d", "_index")
@@ -86,18 +87,27 @@ class EdgeTable(Mapping):
 
 class _EdgeItems(ItemsView):
     def __iter__(self):
-        t = self._mapping
-        for a in range(0, len(t.d), _BLOCK):
-            b = a + _BLOCK
-            yield from zip(zip(t.lo[a:b].tolist(), t.hi[a:b].tolist()), t.d[a:b].tolist())
+        t, k = self._mapping, _BLOCK
+        if t._index is None:
+            blocks = chain.from_iterable(
+                zip(zip(t.lo[a:a + k].tolist(), t.hi[a:a + k].tolist()), t.d[a:a + k].tolist())
+                for a in range(0, len(t.d), k))
+            if len(t.d) > k:
+                return blocks
+            t._index = dict(blocks)  # one block: converted once, then iterated as a dict
+        return iter(t._index.items())
 
 
-def edge_arrays(quadratic: Mapping[tuple[int, int], int]) -> tuple[np.ndarray, ...]:
-    """The ``(lo, hi, d)`` arrays of a quadratic map, in its iteration order."""
-    if isinstance(quadratic, EdgeTable):
-        return quadratic.lo, quadratic.hi, quadratic.d
-    pairs = np.fromiter(chain.from_iterable(quadratic), np.int64, 2 * len(quadratic))
-    return pairs[0::2], pairs[1::2], int_array(list(quadratic.values()))
+def _as_table(quadratic: Mapping[tuple[int, int], int]) -> EdgeTable | None:
+    """The map's edges as a table, in its iteration order, or None when a key
+    is not a pair or an index or value is not an integer that int64 holds:
+    ``np.fromiter`` would take 1.5 as 1.  Types are judged as one set."""
+    if set(map(len, quadratic)) <= {2} and all(issubclass(t, _INTEGER) for t in set(map(
+            type, chain(chain.from_iterable(quadratic), quadratic.values())))):
+        with suppress(OverflowError):
+            pairs = np.fromiter(chain.from_iterable(quadratic), np.int64, 2 * len(quadratic))
+            return EdgeTable(pairs[0::2], pairs[1::2], int_array(list(quadratic.values())))
+    return None
 
 
 def _lex_order(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -125,51 +135,59 @@ class QuboInstance:
         Number of variables; valid indices are 1..n.
     linear : dict[int, int]
         Nonzero linear coefficients c_i.
-    quadratic : dict[tuple[int, int], int] or EdgeTable
-        Nonzero combined quadratic coefficients d_ij keyed by (i, j) with i < j.
+    quadratic : EdgeTable
+        Nonzero combined quadratic coefficients d_ij keyed by (i, j) with i < j;
+        any other mapping passed in becomes a table, in its iteration order.
     offset : int
         Constant term, included in every objective value.
     """
 
     n: int
     linear: dict[int, int]
-    quadratic: dict[tuple[int, int], int] | EdgeTable
+    quadratic: EdgeTable
     offset: int = 0
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"variable count must be nonnegative, got {self.n}")
-        if self.n >= sys.maxsize:  # rows are indexed 0..n
-            raise ValueError(f"variable count {self.n} exceeds the index range")
+        n = self.n
+        if not isinstance(n, _INTEGER) or n < 0:
+            raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
+        if n >= sys.maxsize:  # rows are indexed 0..n
+            raise ValueError(f"variable count {n} exceeds the index range")
         if not isinstance(self.offset, _INTEGER):
             raise ValueError(f"offset {self.offset!r} is not an integer")
         for i, v in self.linear.items():
-            if not 1 <= i <= self.n:
-                raise ValueError(f"linear index {i} outside 1..{self.n}")
+            if not (isinstance(i, _INTEGER) and 1 <= i <= n):
+                raise ValueError(f"linear index {i!r} outside 1..{n}")
             if v == 0:
                 raise ValueError(f"zero linear coefficient stored at {i}")
             if not isinstance(v, _INTEGER):
                 raise ValueError(f"linear coefficient {v!r} at {i} is not an integer")
         items = self.quadratic.items()
-        if isinstance(self.quadratic, EdgeTable):
-            # Checked as arrays: the first bad pair gets its message below.
-            lo, hi, d = edge_arrays(self.quadratic)
-            if d.dtype != np.int64 and not (
-                    d.dtype == object and all(isinstance(v, _INTEGER) for v in d)):
+        if not isinstance(self.quadratic, EdgeTable):  # None leaves the map to the loop below
+            object.__setattr__(self, "quadratic", _as_table(self.quadratic))
+        if (q := self.quadratic) is not None:  # checked on arrays; the loop names a bad pair
+            lo, hi, d = q.lo, q.hi, q.d
+            if lo.dtype != np.int64 or hi.dtype != np.int64:
+                first = f", as in pair ({lo[0]}, {hi[0]})" if len(lo) and len(hi) else ""
+                raise ValueError(f"edge index dtypes {lo.dtype}, {hi.dtype} are not int64{first}")
+            if d.dtype != np.int64 and not (d.dtype == object and all(
+                    issubclass(t, _INTEGER) for t in set(map(type, d)))):
                 raise ValueError(f"edge values of dtype {d.dtype} are not exact integers")
-            bad = ((lo < 1) | (hi > self.n) | (lo >= hi) | (d == 0)).nonzero()[0][:1]
+            bad = ((lo < 1) | (hi > n) | (lo >= hi) | (d == 0)).nonzero()[0][:1]
             items = [((int(lo[k]), int(hi[k])), d[k]) for k in bad]
             if not items:
                 _lex_order(lo, hi)
         for (i, j), v in items:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"pair ({i}, {j}) outside 1..{self.n}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
             if i >= j:
                 raise ValueError(f"pair ({i}, {j}) is not in canonical i < j order")
             if v == 0:
                 raise ValueError(f"zero quadratic coefficient stored at ({i}, {j})")
             if not isinstance(v, _INTEGER):
                 raise ValueError(f"quadratic coefficient {v!r} at ({i}, {j}) is not an integer")
+            if not (isinstance(i, _INTEGER) and isinstance(j, _INTEGER)):
+                raise ValueError(f"pair ({i!r}, {j!r}) has a non-integer index")
 
     @classmethod
     def without_zeros(cls, n: int, linear: Mapping[int, int],
@@ -230,14 +248,8 @@ def build_from_triplets(n: int, entries: Iterable[tuple[int, int, int]]) -> Qubo
 def evaluate(instance: QuboInstance, x: Mapping[int, int] | Sequence[int]) -> int:
     """Exact objective value offset + sum c_i x_i + sum_{i<j} d_ij x_i x_j."""
     vals = _as_values(instance, x)
-    total = instance.offset
-    for i, c in instance.linear.items():
-        if vals[i]:
-            total += c
-    for (i, j), d in instance.quadratic.items():
-        if vals[i] and vals[j]:
-            total += d
-    return total
+    total = instance.offset + sum([c for i, c in instance.linear.items() if vals[i]])
+    return total + sum([d for (i, j), d in instance.quadratic.items() if vals[i] and vals[j]])
 
 
 def ising_to_qubo(
@@ -437,7 +449,8 @@ def write_instance(
     q lines are formatted from the sorted edge arrays, a slice at a time.
     """
     label = [str(k) for k in (range(instance.n + 1) if ids is None else [0, *ids])]
-    lo, hi, d = edge_arrays(instance.quadratic)
+    q = instance.quadratic
+    lo, hi, d = q.lo, q.hi, q.d
     order = _lex_order(lo, hi)
     if order is not None:
         lo, hi, d = lo[order], hi[order], d[order]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SolutionMap, reconstruct_solution
-from .model import QuboInstance, edge_arrays, evaluate
+from .model import QuboInstance, evaluate
 
 OPTIMA_CAP = 1 << 16
 _CHUNK_BITS = 16
@@ -42,8 +42,8 @@ def _dense_arrays(instance: QuboInstance) -> tuple[np.ndarray, np.ndarray]:
     c, upper = np.zeros(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
     for i, v in instance.linear.items():
         c[i - 1] = v
-    lo, hi, d = edge_arrays(instance.quadratic)
-    upper[lo - 1, hi - 1] = d
+    q = instance.quadratic
+    upper[q.lo - 1, q.hi - 1] = q.d
     return c, upper
 
 

@@ -23,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import QuboInstance, canonical_pair, edge_arrays
+from .model import QuboInstance, canonical_pair
 from .state import ReductionState
 
 R1_0 = "R1_0"
@@ -310,10 +310,9 @@ def penalty_rewrite(
     """
     if not (1 <= i <= instance.n and 1 <= h <= instance.n) or i == h:
         raise ValueError(f"invalid pair ({i}, {h})")
-    lo, hi, d = edge_arrays(instance.quadratic)
-    slack = []
+    q, slack = instance.quadratic, []
     for v in (i, h):  # the slacks of :func:`slacks`, from v's incident edges
-        row, c = d[(lo == v) | (hi == v)].tolist(), instance.linear.get(v, 0)
+        row, c = q.d[(q.lo == v) | (q.hi == v)].tolist(), instance.linear.get(v, 0)
         slack += [c + sum(x for x in row if x > 0), -(c + sum(x for x in row if x < 0))]
     relation = Inequality(kind, i, h)
     bound = min(r.bound(*slack) for r in PAIR_RULES if r.conclude(i, h) == relation)

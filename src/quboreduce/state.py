@@ -13,7 +13,8 @@ and one method applies it: a fix is (a, b) = (value, 0), ``x_h = x_i`` is
 substitution operations call it, and it keeps every derived quantity
 incrementally consistent: a value removed at a row's extreme rescans the
 row, and a new value past the extreme becomes it.  Each elimination is
-recorded as ``(h, a, b, i)`` in ``eliminations``, the run's whole record.
+recorded as ``(h, a, b, i)`` in ``eliminations``, the run's whole record:
+``events`` and ``live_count`` are read from its length.
 
 The constructor works on the edge arrays: a stable sort by row, then
 ``reduceat`` per row for sums and extremes, on int64 while exact and on
@@ -28,7 +29,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .model import _BLOCK, QuboInstance, edge_arrays
+from .model import _BLOCK, QuboInstance
 
 # Variable status codes.
 FREE = 0
@@ -41,7 +42,7 @@ class ReductionState:
     __slots__ = (
         "n", "offset", "c", "adj", "d_minus", "d_plus",
         "min_val", "max_val",
-        "status", "live_count", "events", "touched",
+        "status", "touched",
         "eliminations", "setup_edges", "setup_screen",
     )
 
@@ -51,7 +52,8 @@ class ReductionState:
         self.c = [0] * (n + 1)
         for i, v in instance.linear.items():
             self.c[i] = v
-        lo, hi, d = edge_arrays(instance.quadratic)
+        q = instance.quadratic
+        lo, hi, d = q.lo, q.hi, q.d
         # Both ends of every edge, interleaved (entry p's other end is p ^ 1),
         # sorted stably by row, so each row keeps the order of the edges.
         ends = np.empty(2 * len(d), dtype=np.int64)
@@ -95,8 +97,6 @@ class ReductionState:
             for a in range(0, len(val), _BLOCK))
         self.adj: list[dict[int, int]] = [dict(islice(pairs, k)) for k in counts.tolist()]
         self.status = [FREE] * (n + 1)
-        self.live_count = n
-        self.events = 0
         # touched[v] is the event count of the last change to row v's data
         # (c_v, incident edges, hence sums and extremes); the engine skips
         # re-deriving conclusions whose input rows are unchanged.
@@ -104,6 +104,14 @@ class ReductionState:
         self.eliminations: list[tuple[int, int, int, int]] = []  # (h, a, b, i)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def events(self) -> int:
+        return len(self.eliminations)
+
+    @property
+    def live_count(self) -> int:
+        return self.n - len(self.eliminations)
 
     def free_variables(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self.status[i] == FREE]
@@ -136,8 +144,7 @@ class ReductionState:
             if i == h:
                 raise RuntimeError("cannot substitute a variable with itself")
         self._require_free(h)
-        self.events += 1
-        ev = self.events
+        ev = len(self.eliminations) + 1
         adj, c, touched = self.adj, self.c, self.touched
         d_minus, d_plus, max_val, min_val = self.d_minus, self.d_plus, self.max_val, self.min_val
         self.offset += a * c[h]
@@ -199,7 +206,6 @@ class ReductionState:
             self.recompute_row_extremes(i)
         c[h] = d_minus[h] = d_plus[h] = max_val[h] = min_val[h] = 0
         self.status[h] = ELIMINATED
-        self.live_count -= 1
         self.eliminations.append((h, a, b, i))
 
     def apply_fix(self, i: int, value: int) -> None:

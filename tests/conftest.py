@@ -5,9 +5,19 @@ import random
 import pytest
 
 from quboreduce import rules
-from quboreduce.engine import apply_conclusion
+from quboreduce.engine import PassSummary, ReductionLog, _Reducer, apply_conclusion
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
 from quboreduce.state import FREE, ReductionState, init_state
+
+
+def run_first_pass(state: ReductionState, log: ReductionLog) -> PassSummary:
+    """Run one scan pass over every free row of an existing state."""
+    return _Reducer(state, log).run_pass(log.pass_count + 1)
+
+
+def run_residual_pass(state: ReductionState, log: ReductionLog) -> int:
+    """Run the residual substitution sweep; returns the substitution count."""
+    return _Reducer(state, log).run_residual(max(log.pass_count, 1))
 
 
 def random_instance(rng: random.Random, n: int, coef: int = 10,
@@ -183,8 +193,6 @@ def legacy_state(instance: QuboInstance) -> ReductionState:
         st.d_plus[i] = sum(d for d in st.adj[i].values() if d > 0)
         st.recompute_row_extremes(i)
     st.status = [FREE] * (n + 1)
-    st.live_count = n
-    st.events = 0
     st.touched = [0] * (n + 1)
     st.eliminations = []
     return st
@@ -223,7 +231,7 @@ def check_consistency(st: ReductionState) -> None:
 
 LEGACY_SLOTS = (
     "n", "offset", "c", "d_minus", "d_plus", "min_val", "max_val", "status",
-    "live_count", "events", "touched", "eliminations",
+    "touched", "eliminations",
 )
 
 

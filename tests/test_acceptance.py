@@ -13,13 +13,10 @@ import pytest
 from conftest import (
     RESIDUAL_COMPLEMENT, RULE_SILENT, catalog_firings,
     check_verdict_against_optima, optima_by_enumeration, replay,
-    restricted_optimum, snapshot, sweep_instance,
+    restricted_optimum, run_first_pass, run_residual_pass, snapshot, sweep_instance,
 )
 from quboreduce import rules
-from quboreduce.engine import (
-    ReductionLog, run_first_pass, run_residual_pass, run_to_fixed_point,
-    verify_fixed_point,
-)
+from quboreduce.engine import ReductionLog, run_to_fixed_point, verify_fixed_point
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import build_from_triplets, evaluate
 from quboreduce.oracle import brute_force_solve, check_equivalence

@@ -8,15 +8,14 @@ import pytest
 
 from conftest import (
     RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, check_consistency, dense_reference,
-    optima_by_enumeration, random_instance, reduction_firings, replay, shuffled_instance,
-    sweep_instance,
+    optima_by_enumeration, random_instance, reduction_firings, replay, run_first_pass,
+    run_residual_pass, shuffled_instance, sweep_instance,
 )
 from quboreduce import engine, rules
 from quboreduce.cli import log_document
 from quboreduce.engine import (
     ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced, _Reducer,
-    reconstruct_solution, run_first_pass, run_residual_pass, run_to_fixed_point,
-    verify_fixed_point,
+    reconstruct_solution, run_to_fixed_point, verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate, write_instance
@@ -91,6 +90,15 @@ class TestFirstPass:
         run_first_pass(state, log)
         assert dict(log.per_rule_counts) == {"R1_0": 1, "R2_0": 1}
         assert state.offset == 5
+
+    def test_rule_counts_follow_the_events_in_first_firing_order(self):
+        for t in range(100):
+            _, log, _ = run_to_fixed_point(sweep_instance(t))
+            ids = [ev.verdict.rule_id for ev in log.events]
+            assert list(log.per_rule_counts.items()) == [
+                (r, ids.count(r)) for r in dict.fromkeys(ids)]
+        with pytest.raises(AttributeError):
+            log.per_rule_counts = {}
 
 
 class TestRunToFixedPoint:

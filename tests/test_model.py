@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quboreduce.cli import to_dense_ids
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import (
     EdgeTable, QuboFormatError, QuboInstance, _parse_lines, _read_bulk, _read_lines,
     build_from_triplets, evaluate, int_array, ising_to_qubo, read_instance, write_instance,
 )
+from quboreduce.rules import InequalityKind, penalty_rewrite
 
 
 class TestBuildFromTriplets:
@@ -77,6 +79,61 @@ class TestBuildFromTriplets:
         # another problem than the one evaluate() scores
         with pytest.raises(ValueError, match="integer"):
             make()
+
+    @pytest.mark.parametrize("make, entry", [
+        pytest.param(lambda: QuboInstance(3, {}, {(1.5, 2): 1}), r"\(1\.5, 2\)",
+                     id="float-pair-index"),
+        pytest.param(lambda: QuboInstance(3, {}, {(1, 2): 1, (2, Fraction(3)): -1}),
+                     r"\(2, Fraction\(3, 1\)\)", id="fraction-pair-index"),
+        pytest.param(lambda: QuboInstance(3, {1.5: 2}, {}), r"1\.5", id="float-linear-index"),
+        pytest.param(lambda: QuboInstance(3, {}, EdgeTable(
+            np.array([1.5]), np.array([2.0]), np.array([1]))), r"\(1\.5, 2\.0\)",
+                     id="float64-table-index"),
+        pytest.param(lambda: QuboInstance(3, {}, EdgeTable(np.array([1], dtype=np.int32),
+                     np.array([2], dtype=np.int32), np.array([1]))), "int32",
+                     id="int32-table-index"),
+        pytest.param(lambda: QuboInstance(3.0, {}, {}), r"3\.0", id="float-variable-count"),
+    ])
+    def test_non_integer_index_rejected_by_constructor(self, make, entry):
+        # np.fromiter would take 1.5 as 1 and reduce the pair (1, 2)
+        with pytest.raises(ValueError, match=entry):
+            make()
+
+    @pytest.mark.parametrize("key", [(1, 2**63), (2**70, 2), (-2**64, 2)])
+    def test_index_past_int64_is_out_of_range(self, key):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            QuboInstance(3, {}, {key: 1})
+
+    def test_malformed_keys_rejected_as_before(self):
+        with pytest.raises(ValueError, match="unpack"):
+            QuboInstance(3, {}, {(1, 2, 3): 1})
+        with pytest.raises(ValueError, match="unpack"):
+            QuboInstance(3, {}, {(1,): 1})
+
+    def test_every_instance_holds_a_table_in_the_map_order(self, tmp_path):
+        items = [((3, 9), -4), ((1, 2), 5), ((4, 5), 10**30), ((2, 7), np.int32(6))]
+        inst = QuboInstance(9, {1: 2}, dict(items), 3)
+        assert isinstance(inst.quadratic, EdgeTable)
+        assert list(inst.quadratic.items()) == items
+        assert inst.quadratic.lo.dtype == inst.quadratic.hi.dtype == np.int64
+        assert inst.quadratic.d.dtype == object
+        path = tmp_path / "t.qubo"
+        write_instance(inst, path)
+        # CR line ends send the file through the line parser
+        path.write_text(path.read_text().replace("\n", "\r\n"))
+        made = [
+            inst,
+            QuboInstance(9, {}, table(items[:2])),
+            read_instance(path),
+            _read_bulk(b"p qubo 3\nq 1 2 5\n"),
+            build_from_triplets(3, [(1, 2, 1), (2, 2, 3)]),
+            ising_to_qubo(3, (1, 0, -1), {(1, 3): 2}),
+            QuboInstance.without_zeros(3, {1: 0}, {(1, 2): 0, (2, 3): 4}),
+            penalty_rewrite(inst, InequalityKind.AT_MOST_ONE, 1, 2, 10**31),
+            to_dense_ids(QuboInstance(9, {}, {(3, 9): 1}), [3, 9]),
+        ]
+        for got in made:
+            assert type(got.quadratic) is EdgeTable, got
 
     def test_numpy_integers_accepted(self):
         inst = QuboInstance(2, {1: np.int64(-1)}, {(1, 2): np.int32(3)}, np.int64(2))

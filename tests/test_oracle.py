@@ -1,11 +1,13 @@
 import itertools
 import random
+from math import ceil, floor
 
 import pytest
 
 from conftest import optima_by_enumeration, random_instance
 from quboreduce import run_to_fixed_point
 from quboreduce.engine import SolutionMap
+from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import QuboInstance, build_from_triplets
 from quboreduce import oracle
 from quboreduce.oracle import brute_force_solve, check_equivalence
@@ -179,3 +181,18 @@ class TestCheckEquivalence:
         inst = QuboInstance(30, {}, {}, 0)
         with pytest.raises(ValueError):
             check_equivalence(inst, inst, SolutionMap([], list(range(1, 31))))
+
+
+@pytest.mark.parametrize("row_id", range(1, 17))
+def test_generated_instances_reduce_soundly(row_id):
+    # The generator's shape at oracle size: a hub, multiplied linear terms
+    # and quadratic outliers together, which random_instance never draws.
+    # At 40 edges most variables go, at 80 most survive.
+    for seed, edges in itertools.product((1, 2), (40, 80)):
+        spec = GeneratorSpec.from_design(20, edges, design_table()[row_id - 1], seed=seed)
+        assert ceil(spec.hub_fraction * spec.n) >= 1
+        assert floor(spec.pct_quadratic_multiplied * spec.target_edges) >= 1
+        inst = generate_instance(spec)
+        reduced, _, smap = run_to_fixed_point(inst)
+        report = check_equivalence(inst, reduced, smap)
+        assert report.ok, f"row {row_id}, seed {seed}, {edges} edges: {report.message}"

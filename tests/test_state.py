@@ -5,11 +5,11 @@ import pytest
 
 from conftest import (
     LEGACY_SLOTS, all_assignments, check_consistency, legacy_state, random_instance,
-    restricted_optimum, shuffled_instance, snapshot,
+    restricted_optimum, shuffled_instance, snapshot, sweep_instance,
 )
-from quboreduce.model import EdgeTable, QuboInstance, build_from_triplets, edge_arrays, evaluate
+from quboreduce.model import QuboInstance, build_from_triplets, evaluate
 from quboreduce.oracle import brute_force_solve
-from quboreduce.rules import pair_may_fire
+from quboreduce.rules import pair_may_fire, slacks
 from quboreduce.state import ELIMINATED, ReductionState, init_state
 
 
@@ -53,9 +53,8 @@ class TestArrayBuild:
         for _ in range(40):
             inst = shuffled_instance(rng, scale)
             want = legacy_state(inst)
-            as_table = QuboInstance(inst.n, inst.linear,
-                                    EdgeTable(*edge_arrays(inst.quadratic)), inst.offset)
-            for got in (ReductionState(inst), ReductionState(as_table)):
+            as_dict = QuboInstance(inst.n, inst.linear, dict(inst.quadratic), inst.offset)
+            for got in (ReductionState(inst), ReductionState(as_dict)):
                 for slot in LEGACY_SLOTS:
                     assert getattr(got, slot) == getattr(want, slot), slot
                 assert [list(r.items()) for r in got.adj] == [list(r.items()) for r in want.adj]
@@ -270,6 +269,47 @@ class TestElimination:
             check_consistency(st)
 
 
+class TestFixNeverRaisesASlack:
+    """Fixing x_j moves each other free variable's slacks by its edge to j alone.
+
+    With d = d_vj (0 for a non-neighbour), (u_v, w_v) changes by
+    (-max(d, 0), min(d, 0)) for x_j = 0 and by (min(d, 0), -max(d, 0)) for
+    x_j = 1: a fix never raises a slack.
+    """
+
+    @staticmethod
+    def instances():
+        yield from (sweep_instance(t) for t in range(300))
+        for scale in (1, 2**62):
+            rng = random.Random(scale % 997)
+            yield from (shuffled_instance(rng, scale) for _ in range(40))
+
+    @staticmethod
+    def check(st, j, x):
+        before = {v: (slacks(st, v), st.adj[v].get(j, 0)) for v in st.free_variables()}
+        st.apply_fix(j, x)
+        for v in st.free_variables():
+            (u, w), d = before[v]
+            pos, neg = max(d, 0), min(d, 0)
+            want = (-pos, neg) if x == 0 else (neg, -pos)
+            got = slacks(st, v)
+            assert (got[0] - u, got[1] - w) == want, (v, j, x, d)
+
+    def test_on_fresh_states(self):
+        for inst in self.instances():
+            for j in range(1, inst.n + 1):
+                for x in (0, 1):
+                    self.check(init_state(inst), j, x)
+
+    def test_along_chains_of_fixes(self):
+        # later fixes land on rows that earlier ones changed
+        rng = random.Random(10)
+        for inst in self.instances():
+            st = init_state(inst)
+            for j in rng.sample(range(1, inst.n + 1), inst.n):
+                self.check(st, j, rng.randint(0, 1))
+
+
 TRIANGLE_AND_TAIL = build_from_triplets(4, [
     (1, 1, 1), (2, 2, 1), (3, 3, 2), (4, 4, -1),
     (1, 2, -2), (2, 3, 1), (2, 4, 3), (3, 4, -1),
@@ -303,6 +343,17 @@ class TestRefusedMutation:
         for slot, value in slots.items():
             assert getattr(st, slot) == value, slot
         assert [list(row.items()) for row in st.adj] == rows
+
+
+def test_counts_come_from_the_elimination_record():
+    st = init_state(TRIANGLE_AND_TAIL)
+    assert (st.events, st.live_count) == (0, 4)
+    st.apply_fix(1, 1)
+    st.apply_substitution_complement(2, 4)
+    assert st.events == len(st.eliminations) == 2 and st.live_count == 2
+    for name in ("events", "live_count"):
+        with pytest.raises(AttributeError):
+            setattr(st, name, 0)
 
 
 class TestRecomputeRowExtremes:
