@@ -30,6 +30,8 @@ print(f"enumeration: optimum {result.optimum}, optima {result.optima}")
 # updated weight of x3 fixes it too.
 reduced, log, solution_map = run_to_fixed_point(instance)
 print(f"reduced to {reduced.n} variables, constant {reduced.offset}")
+# Each event's conclusion lists the eliminations it made, (h, a, b, i) for
+# x_h := a + b*x_i; a fix has b = 0.
 for event in log.events:
     print(f"  pass {event.pass_number}: {event.verdict.rule_id}"
           f" -> {event.verdict.conclusion} (live after: {event.live_after})")

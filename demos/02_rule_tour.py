@@ -5,7 +5,8 @@ contribute lies between c_i + D_i^- (all hostile neighbours on) and
 c_i + D_i^+ (all friendly neighbours on).  Whenever such a bound crosses
 zero, a variable or a pair of variables can be resolved without losing any
 optimal solution.  Each pair rule is one row of the table ``PAIR_RULES``;
-a row's ``probe`` fires it on one edge of a state.
+a row's ``probe`` fires it on one edge of a state.  A verdict that reduces
+the problem concludes the eliminations it makes, each x_h := a + b·x_i.
 """
 
 from quboreduce import brute_force_solve, build_from_triplets, init_state
@@ -13,6 +14,13 @@ from quboreduce.rules import (
     PAIR_RULES_BY_ID as ROW, derive_pair_inequalities, m_lower_bound,
     rule_fix_one, rule_fix_zero,
 )
+
+
+def elimination(h, a, b, i):
+    """One elimination (h, a, b, i) as x_h := a + b·x_i, or x_h := a for a fix."""
+    if not b:
+        return f"x{h} := {a}"
+    return f"x{h} := {a} {'+' if b > 0 else '-'} x{i}"
 
 
 def show(title, instance, *verdicts):
@@ -25,7 +33,7 @@ def show(title, instance, *verdicts):
             print("  (rule is silent)")
         else:
             tag = "all optima" if v.unique else "some optimum"
-            print(f"  {v.rule_id}: {v.conclusion} [{tag}]")
+            print(f"  {v.rule_id}: {', '.join(elimination(*e) for e in v.conclusion)} [{tag}]")
 
 
 def pair(c1, c2, d):

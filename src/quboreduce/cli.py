@@ -29,20 +29,21 @@ from .model import QuboInstance, read_instance, write_instance
 # An identity x_h = a + b * x_i by its log name: (a, b) per name, name per b.
 _IDENTITY_FORMS = {"same": (0, 1), "complement": (1, -1)}
 _IDENTITY_NAMES = {b: name for name, (_, b) in _IDENTITY_FORMS.items()}
+_SUBSTITUTE_TYPES = {1: "substitute_equal", -1: "substitute_complement"}
 LOG_FORMAT = "quboreduce-log/1"
 
 
-def _conclusion_json(concl) -> dict:
-    if isinstance(concl, rules.Fix):
-        return {"type": "fix", "var": concl.var, "value": concl.value}
-    if isinstance(concl, rules.PairFix):
-        return {"type": "pair_fix", "i": concl.i, "vi": concl.vi,
-                "h": concl.h, "vh": concl.vh}
-    if isinstance(concl, rules.SubstituteEqual):
-        return {"type": "substitute_equal", "i": concl.i, "h": concl.h}
-    if isinstance(concl, rules.SubstituteComplement):
-        return {"type": "substitute_complement", "i": concl.i, "h": concl.h}
-    return {"type": "inequality", "kind": concl.kind.value, "i": concl.i, "h": concl.h}
+def _conclusion_json(concl: rules.Conclusion) -> dict:
+    """The v1 JSON of a mined relation, or of a verdict's eliminations: one fix,
+    a pair of fixes, or one substitution."""
+    if isinstance(concl, rules.Inequality):
+        return {"type": "inequality", "kind": concl.kind.value, "i": concl.i, "h": concl.h}
+    (h, a, b, i), *pair = concl
+    if pair:
+        return {"type": "pair_fix", "i": h, "vi": a, "h": pair[0][0], "vh": pair[0][1]}
+    if not b:
+        return {"type": "fix", "var": h, "value": a}
+    return {"type": _SUBSTITUTE_TYPES[b], "i": i, "h": h}
 
 
 def log_document(

@@ -19,7 +19,8 @@ The reduced instance is a sorted edge table built from the set-up arrays
 and the rows of touched survivors; :func:`verify_fixed_point` judges the same
 live edges on arrays.
 
-Every state change is logged as an event; applying the logged conclusions in
+Every state change is logged as an event, a verdict whose conclusion is the
+eliminations ``(h, a, b, i)`` it made; applying the logged conclusions in
 order with :func:`apply_conclusion` to a fresh state rebuilds each
 intermediate state of the run, so the engine keeps no snapshots.
 """
@@ -148,23 +149,22 @@ class ResidualScheduler:
         self.cd_list = [v for v in free if self.c_flag[v] or self.d_flag[v]]
 
 
-def apply_conclusion(state: ReductionState, concl: rules.Conclusion) -> None:
-    """Carry out one reduction conclusion on the state.
+def apply_conclusion(state: ReductionState, eliminations: rules.Conclusion) -> None:
+    """Carry out a reducing verdict's eliminations ``(h, a, b, i)`` on the state, in order.
 
     The engine applies every event through here, so replaying a log's events
     on a fresh state rebuilds each intermediate state of the run.
     """
-    if isinstance(concl, rules.Fix):
-        state.apply_fix(concl.var, concl.value)
-    elif isinstance(concl, rules.PairFix):
-        state.apply_fix(concl.i, concl.vi)
-        state.apply_fix(concl.h, concl.vh)
-    elif isinstance(concl, rules.SubstituteComplement):
-        state.apply_substitution_complement(concl.i, concl.h)
-    elif isinstance(concl, rules.SubstituteEqual):
-        state.apply_substitution_equal(concl.i, concl.h)
-    else:
-        raise RuntimeError(f"cannot apply conclusion {concl!r}")
+    # Each form goes through its named state operation rather than straight
+    # to ``_eliminate``: perfbench's tracer times these three methods, and the
+    # tests' uncompensated_complement fixture patches one of them.
+    for h, a, b, i in eliminations:
+        if b == 0:
+            state.apply_fix(h, a)
+        elif b == 1:
+            state.apply_substitution_equal(i, h)
+        else:
+            state.apply_substitution_complement(i, h)
 
 
 class _Reducer:

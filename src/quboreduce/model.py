@@ -41,8 +41,11 @@ def canonical_pair(i: int, j: int) -> tuple[int, int]:
 # Array entries converted to Python values, or edges written, at a time (here
 # and in the state's set-up): one join of a 500,000-line q block costs ~30 MB.
 _BLOCK = 1 << 13
-# The coefficient types an instance holds.
-_INTEGER = (int, np.integer)
+
+
+def _integer(t: type) -> bool:
+    """Whether an instance holds integers of type t: not ``bool``, which a file cannot."""
+    return issubclass(t, (int, np.integer)) and t is not bool
 
 
 def int_array(values: list[int]) -> np.ndarray:
@@ -102,8 +105,8 @@ def _as_table(quadratic: Mapping[tuple[int, int], int]) -> EdgeTable | None:
     """The map's edges as a table, in its iteration order, or None when a key
     is not a pair or an index or value is not an integer that int64 holds:
     ``np.fromiter`` would take 1.5 as 1.  Types are judged as one set."""
-    if set(map(len, quadratic)) <= {2} and all(issubclass(t, _INTEGER) for t in set(map(
-            type, chain(chain.from_iterable(quadratic), quadratic.values())))):
+    if set(map(len, quadratic)) <= {2} and all(map(_integer, set(map(
+            type, chain(chain.from_iterable(quadratic), quadratic.values()))))):
         with suppress(OverflowError):
             pairs = np.fromiter(chain.from_iterable(quadratic), np.int64, 2 * len(quadratic))
             return EdgeTable(pairs[0::2], pairs[1::2], int_array(list(quadratic.values())))
@@ -149,18 +152,18 @@ class QuboInstance:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, _INTEGER) or n < 0:
+        if not _integer(type(n)) or n < 0:
             raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
         if n >= sys.maxsize:  # rows are indexed 0..n
             raise ValueError(f"variable count {n} exceeds the index range")
-        if not isinstance(self.offset, _INTEGER):
+        if not _integer(type(self.offset)):
             raise ValueError(f"offset {self.offset!r} is not an integer")
         for i, v in self.linear.items():
-            if not (isinstance(i, _INTEGER) and 1 <= i <= n):
+            if not (_integer(type(i)) and 1 <= i <= n):
                 raise ValueError(f"linear index {i!r} outside 1..{n}")
             if v == 0:
                 raise ValueError(f"zero linear coefficient stored at {i}")
-            if not isinstance(v, _INTEGER):
+            if not _integer(type(v)):
                 raise ValueError(f"linear coefficient {v!r} at {i} is not an integer")
         items = self.quadratic.items()
         if not isinstance(self.quadratic, EdgeTable):  # None leaves the map to the loop below
@@ -170,10 +173,12 @@ class QuboInstance:
             if lo.dtype != np.int64 or hi.dtype != np.int64:
                 first = f", as in pair ({lo[0]}, {hi[0]})" if len(lo) and len(hi) else ""
                 raise ValueError(f"edge index dtypes {lo.dtype}, {hi.dtype} are not int64{first}")
-            if d.dtype != np.int64 and not (d.dtype == object and all(
-                    issubclass(t, _INTEGER) for t in set(map(type, d)))):
+            if d.dtype != np.int64 and d.dtype != object:
                 raise ValueError(f"edge values of dtype {d.dtype} are not exact integers")
-            bad = ((lo < 1) | (hi > n) | (lo >= hi) | (d == 0)).nonzero()[0][:1]
+            if d.dtype == object and not all(map(_integer, set(map(type, d)))):
+                bad = [next(k for k, v in enumerate(d) if not _integer(type(v)))]
+            else:
+                bad = ((lo < 1) | (hi > n) | (lo >= hi) | (d == 0)).nonzero()[0][:1]
             items = [((int(lo[k]), int(hi[k])), d[k]) for k in bad]
             if not items:
                 _lex_order(lo, hi)
@@ -184,9 +189,9 @@ class QuboInstance:
                 raise ValueError(f"pair ({i}, {j}) is not in canonical i < j order")
             if v == 0:
                 raise ValueError(f"zero quadratic coefficient stored at ({i}, {j})")
-            if not isinstance(v, _INTEGER):
+            if not _integer(type(v)):
                 raise ValueError(f"quadratic coefficient {v!r} at ({i}, {j}) is not an integer")
-            if not (isinstance(i, _INTEGER) and isinstance(j, _INTEGER)):
+            if not (_integer(type(i)) and _integer(type(j))):
                 raise ValueError(f"pair ({i!r}, {j!r}) has a non-integer index")
 
     @classmethod

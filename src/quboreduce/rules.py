@@ -1,10 +1,15 @@
 """Pure firing predicates for the reduction rule catalog.
 
 Every rule reads a :class:`~quboreduce.state.ReductionState` and returns an
-optional :class:`RuleVerdict` without mutating anything.  A verdict's
-``unique`` flag is True when the rule's inequality held strictly, i.e. the
-conclusion holds in *all* optimal solutions rather than merely in some
-optimal solution.
+optional :class:`RuleVerdict` without mutating anything.  A verdict names the
+edge it judged, ``(i, i)`` for a fix of x_i.  A reducing verdict concludes
+the eliminations it makes, ``(h, a, b, i)`` for x_h := a + b * x_i in the
+order applied, the form the state applies and records: a fix is
+``((i, value, 0, i),)``, a pair assignment two fixes, ``x_h = x_i`` is
+``((h, 0, 1, i),)`` and ``x_h = 1 - x_i`` is ``((h, 1, -1, i),)``.  A mined
+verdict concludes an :class:`Inequality`.  A verdict's ``unique`` flag is
+True when the rule's inequality held strictly, i.e. the conclusion holds in
+*all* optimal solutions rather than merely in some optimal solution.
 
 Every rule compares coefficients with the two slacks of each variable v,
 u_v = c_v + D_v^+ and w_v = -(c_v + D_v^-) (see :func:`slacks`).  A fix
@@ -57,36 +62,6 @@ class InequalityKind(Enum):
 
 
 @dataclass(frozen=True)
-class Fix:
-    var: int
-    value: int
-
-
-@dataclass(frozen=True)
-class PairFix:
-    i: int
-    vi: int
-    h: int
-    vh: int
-
-
-@dataclass(frozen=True)
-class SubstituteEqual:
-    """Enforce x_h = x_i; h is eliminated."""
-
-    i: int
-    h: int
-
-
-@dataclass(frozen=True)
-class SubstituteComplement:
-    """Enforce x_h = 1 - x_i; h is eliminated."""
-
-    i: int
-    h: int
-
-
-@dataclass(frozen=True)
 class Inequality:
     """A mined pairwise relation, stored with i < h."""
 
@@ -95,12 +70,14 @@ class Inequality:
     h: int
 
 
-Conclusion = Fix | PairFix | SubstituteEqual | SubstituteComplement | Inequality
+# The eliminations (h, a, b, i) of a reducing verdict, or a mined relation.
+Conclusion = tuple[tuple[int, int, int, int], ...] | Inequality
 
 
 @dataclass(frozen=True)
 class RuleVerdict:
     rule_id: str
+    edge: tuple[int, int]
     conclusion: Conclusion
     unique: bool
 
@@ -124,7 +101,7 @@ def rule_fix_one(state: ReductionState, i: int) -> RuleVerdict | None:
     """Fix x_i = 1 when even the worst neighbour assignment keeps V(x_i) >= 0."""
     v = state.c[i] + state.d_minus[i]
     if v >= 0:
-        return RuleVerdict(R1_0, Fix(i, 1), v > 0)
+        return RuleVerdict(R1_0, (i, i), ((i, 1, 0, i),), v > 0)
     return None
 
 
@@ -132,7 +109,7 @@ def rule_fix_zero(state: ReductionState, i: int) -> RuleVerdict | None:
     """Fix x_i = 0 when even the best neighbour assignment keeps V(x_i) <= 0."""
     v = state.c[i] + state.d_plus[i]
     if v <= 0:
-        return RuleVerdict(R2_0, Fix(i, 0), v < 0)
+        return RuleVerdict(R2_0, (i, i), ((i, 0, 0, i),), v < 0)
     return None
 
 
@@ -165,7 +142,7 @@ class PairRule:
         """The verdict on (i, h) when |d| = size, or None if the rule does not fire."""
         t = self.threshold(ui, wi, uh, wh)
         if size >= t:
-            return RuleVerdict(self.rule_id, self.conclude(i, h), size > t)
+            return RuleVerdict(self.rule_id, (i, h), self.conclude(i, h), size > t)
         return None
 
     def probe(self, state: ReductionState, i: int, h: int) -> RuleVerdict | None:
@@ -192,18 +169,18 @@ def _relation(kind: InequalityKind) -> Callable[[int, int], Inequality]:
 # The pair-assignment and substitution rules come first for each sign, in
 # the order the catalog tries them; the inequality rules follow.
 PAIR_RULES = (
-    PairRule(R3_1, +1, lambda ui, wi, uh, wh: ui + uh, lambda i, h: PairFix(i, 0, h, 0)),
-    PairRule(R3_4, +1, lambda ui, wi, uh, wh: wi + wh, lambda i, h: PairFix(i, 1, h, 1)),
+    PairRule(R3_1, +1, lambda ui, wi, uh, wh: ui + uh, lambda i, h: ((i, 0, 0, i), (h, 0, 0, h))),
+    PairRule(R3_4, +1, lambda ui, wi, uh, wh: wi + wh, lambda i, h: ((i, 1, 0, i), (h, 1, 0, h))),
     PairRule(R2_6, +1, lambda ui, wi, uh, wh, max=max, min=min: max(min(ui, wh), min(wi, uh)),
-             SubstituteEqual),
+             lambda i, h: ((h, 0, 1, i),)),
     PairRule(R1_1, +1, lambda ui, wi, uh, wh: wi, _relation(InequalityKind.H_LE_I), "i"),
     PairRule(R1_1p, +1, lambda ui, wi, uh, wh: wh, _relation(InequalityKind.I_LE_H), "h"),
     PairRule(R2_2, +1, lambda ui, wi, uh, wh: ui, _relation(InequalityKind.I_LE_H), "i"),
     PairRule(R2_2p, +1, lambda ui, wi, uh, wh: uh, _relation(InequalityKind.H_LE_I), "h"),
-    PairRule(R3_2, -1, lambda ui, wi, uh, wh: wi + uh, lambda i, h: PairFix(i, 1, h, 0)),
-    PairRule(R3_3, -1, lambda ui, wi, uh, wh: ui + wh, lambda i, h: PairFix(h, 1, i, 0)),
+    PairRule(R3_2, -1, lambda ui, wi, uh, wh: wi + uh, lambda i, h: ((i, 1, 0, i), (h, 0, 0, h))),
+    PairRule(R3_3, -1, lambda ui, wi, uh, wh: ui + wh, lambda i, h: ((h, 1, 0, h), (i, 0, 0, i))),
     PairRule(R2_5, -1, lambda ui, wi, uh, wh, max=max, min=min: max(min(wi, wh), min(ui, uh)),
-             SubstituteComplement),
+             lambda i, h: ((h, 1, -1, i),)),
     PairRule(R2_1, -1, lambda ui, wi, uh, wh: ui, _relation(InequalityKind.AT_MOST_ONE), "i"),
     PairRule(R2_1p, -1, lambda ui, wi, uh, wh: uh, _relation(InequalityKind.AT_MOST_ONE), "h"),
     PairRule(R1_2, -1, lambda ui, wi, uh, wh: wi, _relation(InequalityKind.AT_LEAST_ONE), "i"),
@@ -213,14 +190,14 @@ PAIR_RULES = (
 PAIR_RULES_BY_ID = {rule.rule_id: rule for rule in PAIR_RULES}
 
 # Keyed by d > 0, in table order: the rules that reduce an edge of that sign;
-# among them the pair assignments, which the scan passes try, and the
-# substitution, which the residual sweep and the fixed-point check try; and
-# the rules that mine it.
+# among them the pair assignments (two eliminations), which the scan passes
+# try, and the substitution (one), which the residual sweep and the
+# fixed-point check try; and the rules that mine it.
 _REDUCING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint is None)
              for pos in (True, False)}
-PAIR_ASSIGNMENTS = {pos: tuple(r for r in rows if isinstance(r.conclude(1, 2), PairFix))
+PAIR_ASSIGNMENTS = {pos: tuple(r for r in rows if len(r.conclude(1, 2)) == 2)
                     for pos, rows in _REDUCING.items()}
-SUBSTITUTION = {pos: next(r for r in rows if not isinstance(r.conclude(1, 2), PairFix))
+SUBSTITUTION = {pos: next(r for r in rows if len(r.conclude(1, 2)) == 1)
                 for pos, rows in _REDUCING.items()}
 _MINING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint)
            for pos in (True, False)}
@@ -278,13 +255,11 @@ def m_lower_bound(state: ReductionState, verdict: RuleVerdict) -> int:
     force the verdict's relation onto the optima.  The verdict must fire on
     the state; fix verdicts take no M.
     """
-    concl = verdict.conclusion
-    # Rule 3.3's conclusion names the variable fixed to 1 first, as Rule
-    # 3.2's does, so Rule 3.2's threshold reads it in that order.
-    rule = PAIR_RULES_BY_ID.get(R3_2 if verdict.rule_id == R3_3 else verdict.rule_id)
+    rule = PAIR_RULES_BY_ID.get(verdict.rule_id)
     if rule is None:
         raise ValueError(f"{verdict.rule_id} verdicts have no penalty form")
-    return rule.bound(*slacks(state, concl.i), *slacks(state, concl.h))
+    i, h = verdict.edge
+    return rule.bound(*slacks(state, i), *slacks(state, h))
 
 
 def penalty_rewrite(

@@ -7,12 +7,12 @@ per-variable sums of negative/positive incident edge weights (``d_minus`` /
 ``touched``, the event count of each row's last change, from which the engine
 tells which rows need examining again.
 
-Every conclusion removes one variable by one substitution x_h := a + b*x_i,
-and one method applies it: a fix is (a, b) = (value, 0), ``x_h = x_i`` is
-(0, 1) and ``x_h = 1 - x_i`` is (1, -1).  ``apply_fix`` and the two
-substitution operations call it, and it keeps every derived quantity
-incrementally consistent: a value removed at a row's extreme rescans the
-row, and a new value past the extreme becomes it.  Each elimination is
+Every elimination a rule concludes removes one variable by one substitution
+x_h := a + b*x_i, and one method applies it: a fix is (a, b) = (value, 0),
+``x_h = x_i`` is (0, 1) and ``x_h = 1 - x_i`` is (1, -1).  ``apply_fix``
+and the two substitution operations call it, and it keeps every derived
+quantity incrementally consistent: a value removed at a row's extreme
+rescans the row, and a new value past the extreme becomes it.  Each elimination is
 recorded as ``(h, a, b, i)`` in ``eliminations``, the run's whole record:
 ``events`` and ``live_count`` are read from its length.
 

@@ -99,15 +99,8 @@ def restricted_optimum(instance: QuboInstance, predicate) -> int | None:
 
 def verdict_holds(conclusion, x: tuple[int, ...]) -> bool:
     """Whether an assignment is consistent with a verdict's conclusion."""
-    if isinstance(conclusion, rules.Fix):
-        return x[conclusion.var - 1] == conclusion.value
-    if isinstance(conclusion, rules.PairFix):
-        return (x[conclusion.i - 1] == conclusion.vi
-                and x[conclusion.h - 1] == conclusion.vh)
-    if isinstance(conclusion, rules.SubstituteComplement):
-        return x[conclusion.i - 1] + x[conclusion.h - 1] == 1
-    if isinstance(conclusion, rules.SubstituteEqual):
-        return x[conclusion.i - 1] == x[conclusion.h - 1]
+    if not isinstance(conclusion, rules.Inequality):
+        return all(x[h - 1] == a + b * x[i - 1] for h, a, b, i in conclusion)
     xi, xh = x[conclusion.i - 1], x[conclusion.h - 1]
     kind = conclusion.kind
     if kind is rules.InequalityKind.AT_MOST_ONE:
@@ -162,7 +155,7 @@ def reduction_firings(st):
 def catalog_firings(st) -> list:
     """Every rule verdict firing on the given state (pair preconditions honored)."""
     out = list(reduction_firings(st))
-    fixable = {v.conclusion.var for v in out if isinstance(v.conclusion, rules.Fix)}
+    fixable = {i for v in out for i, h in [v.edge] if i == h}
     for i in st.free_variables():
         for h in st.adj[i]:
             if i < h and i not in fixable and h not in fixable:

@@ -118,7 +118,7 @@ def _check_derived_examples():
     assert not row["R3_1"].probe(init_state(two(-1, -1, 2)), 1, 2).unique
     assert row["R3_1"].probe(init_state(two(-1, -1, 4)), 1, 2) is None
     assert row["R3_2"].probe(init_state(two(2, 1, -3)), 1, 2).conclusion \
-        == rules.PairFix(1, 1, 2, 0)
+        == ((1, 1, 0, 1), (2, 0, 0, 2))
     assert row["R3_2"].probe(init_state(two(2, 1, -3)), 2, 1) is None
     assert not row["R3_2"].probe(init_state(two(1, 1, -2)), 1, 2).unique
     assert row["R3_4"].probe(init_state(two(-1, -1, 3)), 1, 2).unique
@@ -144,7 +144,7 @@ def _check_derived_examples():
     log = ReductionLog()
     run_first_pass(state, log)
     assert [(ev.verdict.rule_id, ev.verdict.conclusion) for ev in log.events] == [
-        ("R3_2", rules.PairFix(2, 1, 1, 0)), ("R1_0", rules.Fix(3, 1))
+        ("R3_2", ((2, 1, 0, 2), (1, 0, 0, 1))), ("R1_0", ((3, 1, 0, 3),))
     ]
     assert state.offset == 4 and state.live_count == 0
     state = init_state(two(3, -2, 2))
@@ -220,10 +220,10 @@ def test_criterion_4_compensation_term_regression(uncompensated_complement):
         reduced, log, smap = run_to_fixed_point(inst)
         degree2 = False
         for state, ev in zip(replay(inst, log.events), log.events):
-            if not isinstance(ev.verdict.conclusion, rules.SubstituteComplement):
+            if ev.verdict.rule_id != rules.R2_5:
                 continue
             snap = snapshot(state)
-            h = ev.verdict.conclusion.h
+            h = ev.verdict.conclusion[0][0]
             deg = sum(1 for pair in snap.quadratic if h in pair)
             if deg >= 2:
                 degree2 = True

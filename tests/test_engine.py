@@ -20,7 +20,7 @@ from quboreduce.engine import (
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate, write_instance
 from quboreduce.oracle import brute_force_solve, check_equivalence
-from quboreduce.state import init_state
+from quboreduce.state import ReductionState, init_state
 
 TRIPLE = build_from_triplets(
     3, [(1, 1, 1), (2, 2, 1), (3, 3, 2), (1, 2, -2), (2, 3, 1)]
@@ -64,8 +64,8 @@ class TestFirstPass:
         summary = run_first_pass(state, log)
         assert summary.drops == 3
         assert [(ev.verdict.rule_id, ev.verdict.conclusion) for ev in log.events] == [
-            ("R3_2", rules.PairFix(2, 1, 1, 0)),
-            ("R1_0", rules.Fix(3, 1)),
+            ("R3_2", ((2, 1, 0, 2), (1, 0, 0, 1))),
+            ("R1_0", ((3, 1, 0, 3),)),
         ]
         assert state.offset == 4
         assert state.live_count == 0
@@ -76,8 +76,8 @@ class TestFirstPass:
         log = ReductionLog()
         run_first_pass(state, log)
         assert [(ev.verdict.rule_id, ev.verdict.conclusion) for ev in log.events] == [
-            ("R1_0", rules.Fix(1, 1)),
-            ("R2_0", rules.Fix(2, 0)),
+            ("R1_0", ((1, 1, 0, 1),)),
+            ("R2_0", ((2, 0, 0, 2),)),
         ]
         assert log.events[0].verdict.unique
         assert not log.events[1].verdict.unique  # fired at c2 = 0
@@ -169,7 +169,7 @@ class TestRunToFixedPoint:
         assert "R3_4" not in log.per_rule_counts
         # x2 probes its clean neighbour x1 in pass 1
         assert [(ev.pass_number, ev.verdict) for ev in log.events] == [
-            (1, rules.RuleVerdict("R3_1", rules.PairFix(2, 0, 1, 0), False)),
+            (1, rules.RuleVerdict("R3_1", (2, 1), ((2, 0, 0, 2), (1, 0, 0, 1)), False)),
         ]
 
     def test_fixed_order_prefers_one_zero(self):
@@ -178,7 +178,7 @@ class TestRunToFixedPoint:
         # probes R3_2 (x2 = 1, x1 = 0) before R3_3 (x1 = 1, x2 = 0)
         _, log, _ = run_to_fixed_point(inst)
         assert [(ev.pass_number, ev.verdict) for ev in log.events] == [
-            (1, rules.RuleVerdict("R3_2", rules.PairFix(2, 1, 1, 0), False)),
+            (1, rules.RuleVerdict("R3_2", (2, 1), ((2, 1, 0, 2), (1, 0, 0, 1)), False)),
         ]
 
 
@@ -215,7 +215,7 @@ class TestVerifyFixedPoint:
             for st in itertools.chain(replay(inst, log.events), [init_state(reduced)]):
                 firings = list(reduction_firings(st))
                 assert verify_fixed_point(st) == (not firings), f"events={st.events}"
-                pairs = [v for v in firings if not isinstance(v.conclusion, rules.Fix)]
+                pairs = [v for v in firings if v.edge[0] != v.edge[1]]
                 seen["fixed point"] += not firings
                 seen["pair fires"] += len(pairs) == len(firings) > 0
                 seen["tie"] += any(not v.unique for v in pairs)
@@ -240,7 +240,8 @@ class TestVerifyFixedPoint:
             assert all(min(rules.slacks(st, x)) > 0 for x in st.free_variables())
             threshold = row.threshold(*rules.slacks(st, 2), *rules.slacks(st, 3))
             assert threshold - abs(st.adj[2][3]) == gap
-        assert list(reduction_firings(at)) == [rules.RuleVerdict(rid, row.conclude(2, 3), False)]
+        assert list(reduction_firings(at)) == [
+            rules.RuleVerdict(rid, (2, 3), row.conclude(2, 3), False)]
         assert not any(reduction_firings(below))
         assert not verify_fixed_point(at)
         assert verify_fixed_point(below)
@@ -277,7 +278,7 @@ class TestResidual:
         log = ReductionLog()
         run_first_pass(state, log)
         assert [(ev.verdict.rule_id, ev.verdict.conclusion) for ev in log.events] == [
-            ("R3_2", rules.PairFix(2, 1, 1, 0)),
+            ("R3_2", ((2, 1, 0, 2), (1, 0, 0, 1))),
         ]
         assert state.live_count == 0
         assert run_residual_pass(state, log) == 0
@@ -310,7 +311,7 @@ class TestResidual:
         # applies both
         assert run_residual_pass(state, log) == 2
         assert [ev.verdict.conclusion for ev in log.events] == [
-            rules.SubstituteEqual(2, 3), rules.SubstituteEqual(4, 1),
+            ((3, 0, 1, 2),), ((1, 0, 1, 4),),
         ]
 
         reduced, log, smap = run_to_fixed_point(RESIDUAL_EQUAL)
@@ -355,13 +356,14 @@ class TestResidual:
 
     def test_residual_run_is_pinned(self):
         # generate --size 2000 --edges 20000 --seed 42 --design-row 3
-        spec = GeneratorSpec.from_design(2000, 20000, design_table()[2], seed=42)
-        _, log, _ = run_to_fixed_point(generate_instance(spec))
+        inst = generate_instance(GeneratorSpec.from_design(2000, 20000, design_table()[2], seed=42))
+        reduced, log, smap = run_to_fixed_point(inst)
         assert any(ev.verdict.rule_id in (rules.R2_5, rules.R2_6) for ev in log.events)
-        # The run's events in order: a change of scheduling order shows here.
-        events = repr([(ev.pass_number, ev.verdict, ev.live_after) for ev in log.events])
+        # The run's events in order, as the log document holds them: a change
+        # of scheduling order shows here.
+        events = json.dumps(log_document(inst, reduced, log, smap, 0.0)["events"])
         assert len(log.events) == 377
-        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "969cb5690169a035"
+        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "4491cbfdfe4d07a3"
 
 
 @pytest.fixture
@@ -434,7 +436,7 @@ class TestInstrumentation:
         st = init_state(inst)
         for w in (2, 3):
             verdict = rules.RuleVerdict(
-                rules.R1_1, rules.Inequality(rules.InequalityKind.H_LE_I, 1, w), True)
+                rules.R1_1, (1, w), rules.Inequality(rules.InequalityKind.H_LE_I, 1, w), True)
             assert verdict in rules.derive_pair_inequalities(st, 1, w)
         probes.clear()
         _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
@@ -453,19 +455,17 @@ class TestInstrumentation:
             probes.clear()
             _, log, _ = run_to_fixed_point(inst)
             pair_events = [
-                (ev.pass_number, ev.verdict.conclusion)
+                (ev.pass_number, set(ev.verdict.edge))
                 for ev in log.events
-                if isinstance(ev.verdict.conclusion, rules.PairFix)
+                if len(ev.verdict.conclusion) == 2
             ]
-            for pass_no, concl in pair_events:
+            for pass_no, pair in pair_events:
                 in_pass = [p for p in probes if p[0] == pass_no]
                 fired_idx = next(
-                    k for k, (_, i, h, _) in enumerate(in_pass)
-                    if {i, h} == {concl.i, concl.h}
+                    k for k, (_, i, h, _) in enumerate(in_pass) if {i, h} == pair
                 )
                 later = in_pass[fired_idx + 1:]
-                assert all(concl.i not in (i, h) and concl.h not in (i, h)
-                           for _, i, h, _ in later)
+                assert all(not pair & {i, h} for _, i, h, _ in later)
 
     def test_try_pair_returns_only_applied_pair_fixes(self, probes):
         # perfbench's tracer counts every non-None return of _try_pair as a
@@ -478,9 +478,8 @@ class TestInstrumentation:
             _, log, _ = run_to_fixed_point(inst)
             fired = [result for *_, result in probes if result is not None]
             assert all(isinstance(v, rules.RuleVerdict)
-                       and isinstance(v.conclusion, rules.PairFix) for v in fired)
-            assert fired == [ev.verdict for ev in log.events
-                             if isinstance(ev.verdict.conclusion, rules.PairFix)]
+                       and len(v.conclusion) == 2 for v in fired)
+            assert fired == [ev.verdict for ev in log.events if len(ev.verdict.conclusion) == 2]
             fired_total += len(fired)
         assert fired_total > 0
 
@@ -582,6 +581,29 @@ class TestReplay:
                 assert rec.snapshot_id in seen_events
                 mined += 1
         assert mined > 0
+
+
+class TestNamedOperations:
+    # perfbench/tracing.py times these three methods, and the
+    # uncompensated_complement fixture patches one of them: an engine that
+    # called ReductionState._eliminate directly would escape both.
+    OPERATIONS = {0: "apply_fix", 1: "apply_substitution_equal",
+                  -1: "apply_substitution_complement"}
+
+    def test_every_elimination_goes_through_its_named_operation(self, monkeypatch):
+        calls = []
+        for name in self.OPERATIONS.values():
+            def counted(state, *args, _name=name, _method=getattr(ReductionState, name)):
+                calls.append(_name)
+                return _method(state, *args)
+            monkeypatch.setattr(ReductionState, name, counted)
+        seen = set()
+        for t in range(300):
+            calls.clear()
+            _, _, smap = run_to_fixed_point(sweep_instance(t))
+            assert calls == [self.OPERATIONS[b] for _, _, b, _ in smap.eliminations], t
+            seen.update(calls)
+        assert seen == set(self.OPERATIONS.values())
 
 
 class TestUniquenessPropagation:

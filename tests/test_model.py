@@ -99,6 +99,26 @@ class TestBuildFromTriplets:
         with pytest.raises(ValueError, match=entry):
             make()
 
+    @pytest.mark.parametrize("make, entry", [
+        pytest.param(lambda: QuboInstance(True, {}, {}), "got True", id="variable-count"),
+        pytest.param(lambda: QuboInstance(2, {}, {}, True), "offset True", id="offset"),
+        pytest.param(lambda: QuboInstance(2, {True: 3}, {}), "index True", id="linear-index"),
+        pytest.param(lambda: QuboInstance(4, {1: True}, {(1, 2): True, (3, 4): 10**30}),
+                     "coefficient True at 1 ", id="linear-value"),
+        pytest.param(lambda: QuboInstance(4, {}, {(True, 2): 3}), r"\(True, 2\)",
+                     id="pair-index"),
+        pytest.param(lambda: QuboInstance(4, {}, {(1, 2): True, (3, 4): 10**30}),
+                     r"True at \(1, 2\)", id="pair-value"),
+        pytest.param(lambda: QuboInstance(4, {}, EdgeTable(np.array([1, 3]), np.array([2, 4]),
+                     np.array([10**30, True], dtype=object))), r"True at \(3, 4\)",
+                     id="object-table-value"),
+    ])
+    def test_bool_rejected_by_constructor(self, make, entry):
+        # True is an int, but the writer would write it as "True", which the
+        # reader refuses
+        with pytest.raises(ValueError, match=entry):
+            make()
+
     @pytest.mark.parametrize("key", [(1, 2**63), (2**70, 2), (-2**64, 2)])
     def test_index_past_int64_is_out_of_range(self, key):
         with pytest.raises(ValueError, match=r"outside 1\.\.3"):

@@ -11,9 +11,8 @@ from quboreduce import rules
 from quboreduce.engine import run_to_fixed_point
 from quboreduce.model import build_from_triplets
 from quboreduce.rules import (
-    Fix, Inequality, InequalityKind, PairFix, RuleVerdict, SubstituteComplement,
-    SubstituteEqual, derive_pair_inequalities, m_lower_bound, penalty_rewrite,
-    rule_fix_one, rule_fix_zero,
+    Inequality, InequalityKind, RuleVerdict, derive_pair_inequalities, m_lower_bound,
+    penalty_rewrite, rule_fix_one, rule_fix_zero,
 )
 from quboreduce.state import ReductionState, init_state
 
@@ -49,7 +48,7 @@ class TestSingleVariableRules:
     def test_fix_one_no_negative_edges(self):
         st = state_of((1, 1, 5), (1, 2, 3))
         v = rule_fix_one(st, 1)
-        assert v == RuleVerdict("R1_0", Fix(1, 1), True)
+        assert v == RuleVerdict("R1_0", (1, 1), ((1, 1, 0, 1),), True)
 
     def test_fix_one_silent_when_negative_mass_wins(self):
         st = init_state(two_var(1, 1, -2))
@@ -65,7 +64,7 @@ class TestSingleVariableRules:
     def test_fix_zero_no_positive_edges(self):
         st = state_of((1, 1, -5), (1, 2, -3))
         v = rule_fix_zero(st, 1)
-        assert v == RuleVerdict("R2_0", Fix(1, 0), True)
+        assert v == RuleVerdict("R2_0", (1, 1), ((1, 0, 0, 1),), True)
 
     def test_fix_zero_silent(self):
         st = init_state(two_var(-1, -1, 2))
@@ -149,7 +148,7 @@ class TestComplementPair:
         st = init_state(two_var(1, 1, -2))
         v = ROW["R2_5"].probe(st, 1, 2)
         assert v is not None and v.rule_id == "R2_5"
-        assert v.conclusion == SubstituteComplement(1, 2)
+        assert v.edge == (1, 2) and v.conclusion == ((2, 1, -1, 1),)
         assert v.unique
         _, optima = optima_by_enumeration(snapshot(st))
         assert all(x[0] + x[1] == 1 for x in optima)
@@ -183,7 +182,7 @@ class TestEqualPair:
     def test_fires_on_aligned_pair(self):
         st = init_state(two_var(-1, -1, 2))
         v = ROW["R2_6"].probe(st, 1, 2)
-        assert v is not None and v.conclusion == SubstituteEqual(1, 2)
+        assert v is not None and v.edge == (1, 2) and v.conclusion == ((2, 0, 1, 1),)
         _, optima = optima_by_enumeration(snapshot(st))
         assert all(x[0] == x[1] for x in optima)
 
@@ -214,7 +213,7 @@ class TestPairAssignments:
     def test_pair_zero_fires(self):
         st = init_state(two_var(-2, -2, 3))
         v = ROW["R3_1"].probe(st, 1, 2)
-        assert v == RuleVerdict("R3_1", PairFix(1, 0, 2, 0), True)
+        assert v == RuleVerdict("R3_1", (1, 2), ((1, 0, 0, 1), (2, 0, 0, 2)), True)
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 0 and optima == [(0, 0)]
 
@@ -234,7 +233,7 @@ class TestPairAssignments:
     def test_pair_one_zero_orientations(self):
         st = init_state(two_var(2, 1, -3))
         v = ROW["R3_2"].probe(st, 1, 2)
-        assert v == RuleVerdict("R3_2", PairFix(1, 1, 2, 0), True)
+        assert v == RuleVerdict("R3_2", (1, 2), ((1, 1, 0, 1), (2, 0, 0, 2)), True)
         assert ROW["R3_2"].probe(st, 2, 1) is None
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 2 and optima == [(1, 0)]
@@ -249,7 +248,7 @@ class TestPairAssignments:
     def test_pair_one_fires(self):
         st = init_state(two_var(-1, -1, 3))
         v = ROW["R3_4"].probe(st, 1, 2)
-        assert v == RuleVerdict("R3_4", PairFix(1, 1, 2, 1), True)
+        assert v == RuleVerdict("R3_4", (1, 2), ((1, 1, 0, 1), (2, 1, 0, 2)), True)
         best, optima = optima_by_enumeration(snapshot(st))
         assert best == 1 and optima == [(1, 1)]
 
@@ -308,8 +307,8 @@ PREDICATES = {rid: ROW[rid].probe for rid in ("R3_1", "R3_4", "R2_6", "R3_2", "R
 def screen_rejects_a_firing_edge(st) -> str | None:
     """An edge where a pair verdict exists but the slack screen fails, if any."""
     for verdict in reduction_firings(st):
-        concl = verdict.conclusion
-        if not isinstance(concl, Fix) and not rules.pair_may_fire(st, concl.i, concl.h):
+        i, h = verdict.edge
+        if i != h and not rules.pair_may_fire(st, i, h):
             return f"{verdict} at events={st.events}"
     for i in st.free_variables():
         for h in st.adj[i]:
@@ -550,13 +549,13 @@ class TestMBounds:
 
     def test_negative_expression_clamps_to_zero(self):
         st = init_state(two_var(-3, -1, -2))
-        v = RuleVerdict("R2_1", Inequality(InequalityKind.AT_MOST_ONE, 1, 2), False)
+        v = RuleVerdict("R2_1", (1, 2), Inequality(InequalityKind.AT_MOST_ONE, 1, 2), False)
         assert m_lower_bound(st, v) == 0  # c_1 + D_1^+ = -3
 
     def test_fix_verdict_rejected(self):
         st = init_state(two_var(1, 1, -2))
         with pytest.raises(ValueError):
-            m_lower_bound(st, RuleVerdict("R1_0", Fix(1, 1), False))
+            m_lower_bound(st, RuleVerdict("R1_0", (1, 1), ((1, 1, 0, 1),), False))
 
     def test_pair_rule_bounds_use_printed_expressions(self):
         st = init_state(two_var(2, 1, -3))

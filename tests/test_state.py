@@ -310,6 +310,46 @@ class TestFixNeverRaisesASlack:
                 self.check(st, j, rng.randint(0, 1))
 
 
+class TestSubstitutionNeverRaisesASlack:
+    """A substitution x_h := a + b * x_i raises no slack of a free row but i's.
+
+    A row j other than i loses its edge d_hj, and its edge to i goes from old
+    to old + b * d_hj.  As max(x + y, 0) <= max(x, 0) + max(y, 0), and
+    min(x + y, 0) >= min(x, 0) + min(y, 0), D_j^+ cannot rise nor D_j^- fall:
+    for x_h = x_i (c_j unchanged) neither slack rises.  For x_h = 1 - x_i,
+    c_j gains d_hj, which the min(d_hj, 0) side of either bound cancels.
+    """
+
+    @staticmethod
+    def chains() -> tuple[int, int]:
+        """Random live-edge substitutions until no edge is left, on each instance
+        of TestFixNeverRaisesASlack: (slacks checked, slacks raised)."""
+        rng = random.Random(11)
+        checks = raised = 0
+        for inst in TestFixNeverRaisesASlack.instances():
+            st = init_state(inst)
+            while edges := [(i, h) for i in st.free_variables() for h in st.adj[i]]:
+                i, h = rng.choice(edges)
+                before = {v: slacks(st, v) for v in st.free_variables() if v not in (i, h)}
+                if rng.random() < 0.5:
+                    st.apply_substitution_equal(i, h)
+                else:
+                    st.apply_substitution_complement(i, h)
+                for v, (u, w) in before.items():
+                    got = slacks(st, v)
+                    raised += got[0] > u or got[1] > w
+                checks += len(before)
+        return checks, raised
+
+    def test_along_chains_of_substitutions(self):
+        checks, raised = self.chains()
+        assert raised == 0 and checks > 20000, (checks, raised)
+
+    def test_catches_a_missing_compensation(self, uncompensated_complement):
+        # The mutant leaves c_j without d_hj: 6,289 of the 26,834 checks raise.
+        assert self.chains()[1] > 0
+
+
 TRIANGLE_AND_TAIL = build_from_triplets(4, [
     (1, 1, 1), (2, 2, 1), (3, 3, 2), (4, 4, -1),
     (1, 2, -2), (2, 3, 1), (2, 4, 3), (3, 4, -1),
