@@ -14,7 +14,7 @@ from .engine import (
 from .generator import DesignRow, GeneratorSpec, design_table, generate_instance
 from .model import (
     QuboFormatError, QuboInstance, build_from_triplets, evaluate,
-    ising_to_qubo, read_instance, write_instance,
+    ising_to_qubo, read_instance, relabel, write_instance,
 )
 from .oracle import OracleResult, brute_force_solve, check_equivalence
 from .state import ReductionState, init_state
@@ -37,6 +37,7 @@ __all__ = [
     "evaluate",
     "ising_to_qubo",
     "read_instance",
+    "relabel",
     "write_instance",
     "OracleResult",
     "brute_force_solve",

@@ -10,7 +10,8 @@ remnant's optima do not lift to all original optima.
 
 Reduced instances are written with their original variable indices unless
 --renumber is given, in which case the file is densely renumbered and the
-log document carries the id translation table.
+log document carries the id translation table; ``model.relabel`` translates
+both ways between the survivors' ids and the dense positions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 
 from . import engine, generator, oracle, rules
-from .model import QuboInstance, read_instance, write_instance
+from .model import QuboInstance, read_instance, relabel, write_instance
 
 # An identity x_h = a + b * x_i by its log name: (a, b) per name, name per b.
 _IDENTITY_FORMS = {"same": (0, 1), "complement": (1, -1)}
@@ -155,11 +156,16 @@ def _number(value) -> int | float:
 
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
     """The map of a log document: its identities in logged order, then its fixes,
-    so that the newest-first lift sets every fix before an identity reads it."""
+    so that the newest-first lift sets every fix before an identity reads it.
+    Its survivors must ascend, as the writer lists them."""
     fixes = [(_int(h), _int(a), 0, h) for h, a in _field(doc, "assignments")]
     identities = [(_int(h), *_IDENTITY_FORMS[name], _int(i))
                   for h, name, i in _field(doc, "identities")]
-    return engine.SolutionMap(identities + fixes, [_int(v) for v in _field(doc, "survivors")])
+    survivors = [_int(v) for v in _field(doc, "survivors")]
+    for a, b in zip(survivors, survivors[1:]):
+        if a >= b:
+            raise ValueError(f"survivors do not ascend: {a} before {b}")
+    return engine.SolutionMap(identities + fixes, survivors)
 
 
 def report_table(doc: dict) -> str:
@@ -178,20 +184,6 @@ def report_table(doc: dict) -> str:
     ]
     lines += [f"  {rid:<14} {counts[rid]}" for rid in rules.ALL_RULE_IDS if counts.get(rid)]
     return "\n".join(lines)
-
-
-def to_dense_ids(reduced: QuboInstance, survivors: list[int]) -> QuboInstance:
-    """Renumber an original-indexed reduced instance densely over the survivors.
-
-    Raises ValueError for a variable that is not a survivor.
-    """
-    index = {orig: k for k, orig in enumerate(survivors, start=1)}
-    try:
-        linear = {index[i]: v for i, v in reduced.linear.items()}
-        quadratic = {(index[i], index[j]): v for (i, j), v in reduced.quadratic.items()}
-    except KeyError as exc:
-        raise ValueError(f"reduced variable {exc.args[0]} is not a survivor") from None
-    return QuboInstance(len(survivors), linear, quadratic, reduced.offset)
 
 
 def _spec_header(spec: generator.GeneratorSpec) -> list[str]:
@@ -252,10 +244,9 @@ def cmd_reduce(args) -> int:
         elapsed = time.perf_counter() - start
         doc = log_document(original, reduced, log, solution_map, elapsed,
                            renumber=args.renumber)
-        if out_fh and args.renumber:
-            write_instance(reduced, out_fh)
-        elif out_fh:
-            write_instance(reduced, out_fh, ids=solution_map.survivors, n=original.n)
+        if out_fh:
+            write_instance(reduced if args.renumber else relabel(
+                reduced, range(1, reduced.n + 1), solution_map.survivors, original.n), out_fh)
         if log_fh:
             json.dump(doc, log_fh, indent=1)
     print(report_table(doc))
@@ -268,7 +259,8 @@ def cmd_verify(args) -> int:
     solution_map, renumbered = read_log(
         args.log, lambda doc: (solution_map_from_document(doc), "renumber" in doc)
     )
-    dense = reduced if renumbered else to_dense_ids(reduced, solution_map.survivors)
+    k = len(solution_map.survivors)
+    dense = reduced if renumbered else relabel(reduced, solution_map.survivors, range(1, k + 1), k)
     if not renumbered and reduced.n != original.n:
         raise ValueError(f"reduced file has {reduced.n} variables, not {original.n}")
     try:
@@ -296,11 +288,8 @@ def cmd_solve(args) -> int:
     if args.preprocess:
         reduced, _, solution_map = engine.run_to_fixed_point(instance)
         result = oracle.brute_force_solve(reduced, n_limit=args.limit)
-        survivors = solution_map.survivors
-        best = result.optima[0]
         full = engine.reconstruct_solution(
-            solution_map, {survivors[k]: best[k] for k in range(len(survivors))}
-        )
+            solution_map, dict(zip(solution_map.survivors, result.optima[0])))
         print(f"optimum {result.optimum}")
         print("assignment " + " ".join(str(full[i]) for i in sorted(full)))
         print(f"remnant size {reduced.n}")

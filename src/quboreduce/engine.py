@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rules
-from .model import EdgeTable, QuboInstance, int_array
+from .model import EdgeTable, QuboInstance, int_array, relabel
 from .state import FREE, ReductionState, init_state
 
 @dataclass
@@ -339,18 +339,16 @@ def _live_edges(state: ReductionState) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
-    """The reduced instance over the ascending ``survivors``, renumbered 1..k.
+    """The reduced instance over the ascending ``survivors``, relabelled 1..k.
 
     Its edges are the state's :func:`_live_edges`, in a sorted edge table.
     """
     lo, hi, d = _live_edges(state)
-    index = np.zeros(state.n + 1, dtype=np.int64)
-    index[survivors] = np.arange(1, len(survivors) + 1)
-    a, b = index[lo], index[hi]
-    order = (a * (len(survivors) + 1) + b).argsort(kind="stable")
-    edges = EdgeTable(a[order], b[order], d[order])
-    linear = {k: state.c[v] for k, v in enumerate(survivors, start=1) if state.c[v] != 0}
-    return QuboInstance(len(survivors), linear, edges, state.offset)
+    order = (lo * (state.n + 1) + hi).argsort(kind="stable")
+    lo, hi, d = lo[order], hi[order], d[order]
+    linear = {v: state.c[v] for v in survivors if state.c[v] != 0}
+    reduced = QuboInstance(state.n, linear, EdgeTable(lo, hi, d), state.offset)
+    return relabel(reduced, survivors, range(1, len(survivors) + 1), len(survivors))
 
 
 def run_to_fixed_point(

@@ -437,23 +437,35 @@ def _parse_lines(lines: Iterable[str]):
     return n, offset, linear, quadratic
 
 
-def write_instance(
-    instance: QuboInstance,
-    path,
-    header: Sequence[str] = (),
-    *,
-    ids: Sequence[int] | None = None,
-    n: int | None = None,
-) -> None:
+def relabel(instance: QuboInstance, old: Iterable[int], new: Iterable[int],
+            n: int) -> QuboInstance:
+    """The instance with variable ``old[k]`` renamed ``new[k]``, over ``n`` variables.
+
+    It maps a reduced instance between its survivors' ids and positions 1..k.
+    Both sequences ascend, so the edge table keeps its order and ``lo < hi``.
+    Ids in ``old`` outside 1..instance.n are ignored.  Raises ValueError for
+    a variable of the instance that ``old`` does not list.
+    """
+    pairs = [(i, k) for i, k in zip(old, new, strict=True) if 1 <= i <= instance.n]
+    index = np.zeros(instance.n + 1, dtype=np.int64)
+    index[[i for i, _ in pairs]] = [k for _, k in pairs]
+    to, q = index.tolist(), instance.quadratic
+    lo, hi = index[q.lo], index[q.hi]
+    unlisted = ([i for i in instance.linear if not to[i]]
+                + q.lo[lo == 0].tolist() + q.hi[hi == 0].tolist())
+    if unlisted:
+        raise ValueError(f"reduced variable {min(unlisted)} is not a survivor")
+    linear = {to[i]: v for i, v in instance.linear.items()}
+    return QuboInstance(n, linear, EdgeTable(lo, hi, q.d), instance.offset)
+
+
+def write_instance(instance: QuboInstance, path, header: Sequence[str] = ()) -> None:
     """Write the canonical text form: offset first, then l lines, then q lines.
 
-    ``path`` is a file name or an open text file, which is left open.  With
-    ``ids``, variable k is written as ``ids[k - 1]`` and the problem line
-    declares ``n`` variables; ``ids`` must ascend, so that the sorted order
-    of the instance's indices is the sorted order of the written ones.  The
-    q lines are formatted from the sorted edge arrays, a slice at a time.
+    ``path`` is a file name or an open text file, which is left open.  The q
+    lines are formatted from the sorted edge arrays, a slice at a time.
     """
-    label = [str(k) for k in (range(instance.n + 1) if ids is None else [0, *ids])]
+    label = [str(k) for k in range(instance.n + 1)]  # faster than formatting each index
     q = instance.quadratic
     lo, hi, d = q.lo, q.hi, q.d
     order = _lex_order(lo, hi)
@@ -463,7 +475,7 @@ def write_instance(
     with opened as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        fh.write(f"p qubo {instance.n if ids is None else n}\n")
+        fh.write(f"p qubo {instance.n}\n")
         fh.write(f"o {instance.offset}\n")
         fh.write("".join(f"l {label[i]} {v}\n" for i, v in sorted(instance.linear.items())))
         for a in range(0, len(d), _BLOCK):

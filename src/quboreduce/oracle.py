@@ -158,10 +158,8 @@ def check_equivalence(
             False, res_orig.optimum, res_red.optimum,
             f"optimum mismatch: original {res_orig.optimum}, reduced {res_red.optimum}",
         )
-    survivors = solution_map.survivors
     for bits in res_red.optima:
-        red_sol = {survivors[k]: bits[k] for k in range(len(survivors))}
-        full = reconstruct_solution(solution_map, red_sol)
+        full = reconstruct_solution(solution_map, dict(zip(solution_map.survivors, bits)))
         value = evaluate(original, full)
         if value != res_orig.optimum:
             return EquivalenceReport(

@@ -275,6 +275,30 @@ class TestReduceVerify:
         assert run(["verify", src, plain, dense_log]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("survivors, message", [
+        ([-1, 2, 3], "reduced variable 1 is not a survivor"),
+        ([0, 2, 3], "reduced variable 1 is not a survivor"),
+        ([1, 2, 9], "reduced variable 3 is not a survivor"),
+        ([1, 2, 10**30], "reduced variable 3 is not a survivor"),
+        ([1, 1, 3], "survivors do not ascend: 1 before 1"),
+        ([3, 2, 1], "survivors do not ascend: 3 before 2"),
+        ([1, 2], "reduced variable 3 is not a survivor"),
+    ], ids=["negative", "zero", "beyond-n", "10^30", "repeated", "descending", "one-short"])
+    def test_verify_refuses_malformed_survivors(self, tmp_path, capsys, survivors, message):
+        # a traceback would escape run(); the triangle keeps 1, 2 and 3
+        src, red, log = tmp_path / "in.qubo", tmp_path / "out.qubo", tmp_path / "log.json"
+        src.write_text("p qubo 4\nl 1 1\nl 2 1\nl 3 1\nl 4 -5\n"
+                       "q 1 2 -2\nq 2 3 -2\nq 1 3 -2\n")
+        assert run(["reduce", src, "-o", red, "--log", log]) == 0
+        doc = json.loads(log.read_text())
+        assert doc["survivors"] == [1, 2, 3]
+        log.write_text(json.dumps(dict(doc, survivors=survivors)))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "verified" not in captured.out
+
     def test_verify_rejects_wrong_variable_count(self, tmp_path, capsys):
         # an original-indexed file must declare the original's variable count
         src, plain, log = tmp_path / "in.qubo", tmp_path / "out.qubo", tmp_path / "log.json"

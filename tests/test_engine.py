@@ -18,7 +18,9 @@ from quboreduce.engine import (
     reconstruct_solution, run_to_fixed_point, verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
-from quboreduce.model import QuboInstance, build_from_triplets, evaluate, write_instance
+from quboreduce.model import (
+    QuboInstance, build_from_triplets, canonical_pair, evaluate, write_instance,
+)
 from quboreduce.oracle import brute_force_solve, check_equivalence
 from quboreduce.state import ReductionState, init_state
 
@@ -560,6 +562,29 @@ class TestDenseReduced:
             assert _dense_reduced(st, smap.survivors) == want
             assert list(reduced.quadratic) == sorted(want.quadratic)
             assert list(reduced.linear.items()) == list(want.linear.items())
+
+
+class TestScheduleIndependence:
+    def test_survivor_count_ignores_the_variable_order(self):
+        # Renaming the variables reorders todo, each row's partners and the
+        # residual lists; the count of survivors and the optimum stay.
+        rng = random.Random(10)
+        instances = [sweep_instance(t) for t in range(300)]
+        instances += [shuffled_instance(rng, scale) for scale in (1, 10, 2**40)
+                      for _ in range(40)]
+        for inst in instances:
+            reduced, _, _ = run_to_fixed_point(inst)
+            best = brute_force_solve(reduced).optimum if reduced.n <= 24 else None
+            for _ in range(4):
+                perm = [0, *rng.sample(range(1, inst.n + 1), inst.n)]
+                renamed = QuboInstance(
+                    inst.n, {perm[i]: v for i, v in inst.linear.items()},
+                    {canonical_pair(perm[i], perm[j]): d
+                     for (i, j), d in inst.quadratic.items()}, inst.offset)
+                again, _, _ = run_to_fixed_point(renamed)
+                assert again.n == reduced.n, (inst, perm)
+                if best is not None:
+                    assert brute_force_solve(again).optimum == best, (inst, perm)
 
 
 class TestReplay:

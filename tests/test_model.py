@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quboreduce.cli import to_dense_ids
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import (
     EdgeTable, QuboFormatError, QuboInstance, _parse_lines, _read_bulk, _read_lines,
-    build_from_triplets, evaluate, int_array, ising_to_qubo, read_instance, write_instance,
+    build_from_triplets, evaluate, int_array, ising_to_qubo, read_instance, relabel,
+    write_instance,
 )
 from quboreduce.rules import InequalityKind, penalty_rewrite
 
@@ -150,7 +150,7 @@ class TestBuildFromTriplets:
             ising_to_qubo(3, (1, 0, -1), {(1, 3): 2}),
             QuboInstance.without_zeros(3, {1: 0}, {(1, 2): 0, (2, 3): 4}),
             penalty_rewrite(inst, InequalityKind.AT_MOST_ONE, 1, 2, 10**31),
-            to_dense_ids(QuboInstance(9, {}, {(3, 9): 1}), [3, 9]),
+            relabel(QuboInstance(9, {}, {(3, 9): 1}), [3, 9], [1, 2], 2),
         ]
         for got in made:
             assert type(got.quadratic) is EdgeTable, got
@@ -308,7 +308,7 @@ class TestFileFormat:
     def test_writer_relabels_through_ascending_ids(self, tmp_path):
         inst = QuboInstance(3, {2: 5, 1: -1}, {(2, 3): 1, (1, 2): 2}, 4)
         path = tmp_path / "j.qubo"
-        write_instance(inst, path, ids=[2, 7, 9], n=10)
+        write_instance(relabel(inst, [1, 2, 3], [2, 7, 9], 10), path)
         assert read_instance(path) == QuboInstance(
             10, {2: -1, 7: 5}, {(2, 7): 2, (7, 9): 1}, 4)
         lines = path.read_text().splitlines()
@@ -376,8 +376,8 @@ class TestEdgeTable:
             want = "p qubo 20\no 2\nl 4 -1\n" + "".join(
                 f"q {i + 1} {j + 1} {v}\n" for (i, j), v in sorted(items))
             for quadratic in (dict(items), table(items)):
-                write_instance(QuboInstance(12, {3: -1}, quadratic, 2), path,
-                               ids=range(2, 14), n=20)
+                write_instance(relabel(QuboInstance(12, {3: -1}, quadratic, 2),
+                                       range(1, 13), range(2, 14), 20), path)
                 assert path.read_text() == want
 
     def test_bulk_parse_gives_a_table(self, tmp_path):
@@ -385,6 +385,43 @@ class TestEdgeTable:
         path.write_text("p qubo 9\nq 2 1 5\nq 3 9 -4\n")
         got = read_instance(path).quadratic
         assert isinstance(got, EdgeTable) and list(got.items()) == [((1, 2), 5), ((3, 9), -4)]
+
+
+class TestRelabel:
+    # survivors 2, 7, 9 of a 10-variable instance, one value beyond int64
+    ITEMS = [((2, 7), 4), ((7, 9), -10**30), ((2, 9), 3)]
+
+    def test_both_directions_keep_the_order_and_the_values(self):
+        sparse = QuboInstance(10, {7: 5, 2: -1}, table(self.ITEMS), 4)
+        dense = relabel(sparse, [2, 7, 9], [1, 2, 3], 3)
+        assert dense == QuboInstance(3, {1: -1, 2: 5}, {(1, 2): 4, (2, 3): -10**30, (1, 3): 3}, 4)
+        assert list(dense.quadratic) == [(1, 2), (2, 3), (1, 3)]
+        assert list(dense.linear) == [2, 1]
+        assert dense.quadratic.d.dtype == object
+        back = relabel(dense, range(1, 4), [2, 7, 9], 10)
+        assert back == sparse and list(back.quadratic.items()) == self.ITEMS
+        small = relabel(QuboInstance(5, {}, {(3, 5): 2}), [3, 5], [1, 2], 2)
+        assert small.quadratic == {(1, 2): 2} and small.quadratic.d.dtype == np.int64
+
+    def test_unlisted_variable_is_refused(self):
+        inst = QuboInstance(4, {1: 2}, {(2, 4): 1})
+        with pytest.raises(ValueError, match="reduced variable 4 is not a survivor"):
+            relabel(inst, [1, 2, 3], [1, 2, 3], 3)
+        with pytest.raises(ValueError, match="reduced variable 1 is not a survivor"):
+            relabel(inst, [2, 4], [1, 2], 2)
+        with pytest.raises(ValueError):
+            relabel(inst, [1, 2, 4], [1, 2], 2)  # one new id short
+
+    def test_empty_old(self):
+        assert relabel(QuboInstance(3, {}, {}, 5), [], [], 0) == QuboInstance(0, {}, {}, 5)
+        with pytest.raises(ValueError, match="reduced variable 2 is not a survivor"):
+            relabel(QuboInstance(3, {2: 1}, {}), [], [], 0)
+
+    def test_ids_outside_the_instance_are_ignored(self):
+        # a log's survivors are outside input: no IndexError or OverflowError
+        inst = QuboInstance(3, {1: 1}, {(1, 3): 2})
+        old = [-10**30, -1, 0, 1, 3, 4, 2**63, 10**30]
+        assert relabel(inst, old, range(-2, 6), 2) == QuboInstance(2, {1: 1}, {(1, 2): 2})
 
 
 def same_as_line_parser(path) -> QuboInstance | str:

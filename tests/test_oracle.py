@@ -4,11 +4,13 @@ from math import ceil, floor
 
 import pytest
 
-from conftest import optima_by_enumeration, random_instance, sweep_instance, verdict_holds
+from conftest import (
+    optima_by_enumeration, random_instance, replay, snapshot, sweep_instance, verdict_holds,
+)
 from quboreduce import reconstruct_solution, run_to_fixed_point
 from quboreduce.engine import SolutionMap
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
-from quboreduce.model import QuboInstance, build_from_triplets
+from quboreduce.model import QuboInstance, build_from_triplets, relabel
 from quboreduce import oracle
 from quboreduce.oracle import brute_force_solve, check_equivalence
 
@@ -219,3 +221,27 @@ def test_unique_mined_records_hold_for_the_reduced_instance():
                 assert verdict_holds(verdict.conclusion, full), (t, verdict)
         checked += len(unique)
     assert checked > 1000
+
+
+def test_unique_verdicts_hold_in_every_optimum_of_their_state():
+    # A unique verdict holds in every optimum of the state it fires on.  The
+    # state is solved over its free variables, so that eliminated ones do not
+    # multiply its optima past the cap.  Ties marked unique break this.
+    checked = 0
+    for t in range(1000):
+        inst = sweep_instance(t)
+        _, log, _ = run_to_fixed_point(inst)
+        for st, ev in zip(replay(inst, log.events), log.events):
+            if not ev.verdict.unique:
+                continue
+            free = st.free_variables()
+            result = brute_force_solve(relabel(snapshot(st), free, range(1, len(free) + 1),
+                                               len(free)))
+            assert not result.truncated, (t, ev.verdict)
+            for x in result.optima:
+                full = [0] * inst.n
+                for v, bit in zip(free, x):
+                    full[v - 1] = bit
+                assert verdict_holds(ev.verdict.conclusion, full), (t, ev.verdict, x)
+            checked += 1
+    assert checked > 5000
