@@ -8,7 +8,7 @@ oracle for verifying reductions end to end.
 """
 
 from .engine import (
-    ReductionLog, SolutionMap, reconstruct_solution, run_to_fixed_point,
+    ReductionLog, SolutionMap, mine_inequalities, reconstruct_solution, run_to_fixed_point,
     verify_fixed_point,
 )
 from .generator import DesignRow, GeneratorSpec, design_table, generate_instance
@@ -24,6 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ReductionLog",
     "SolutionMap",
+    "mine_inequalities",
     "reconstruct_solution",
     "run_to_fixed_point",
     "verify_fixed_point",

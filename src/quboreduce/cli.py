@@ -53,9 +53,11 @@ def log_document(
     log: engine.ReductionLog,
     solution_map: engine.SolutionMap,
     wall_time_s: float,
+    inequalities: list[engine.InequalityRecord],
     renumber: bool = False,
 ) -> dict:
-    """Structured JSON document holding the log, the report, and the map."""
+    """Structured JSON document holding the log, the report, the map, and
+    the ``inequalities`` mined on the reduced instance over the original ids."""
     doc = {
         "format": LOG_FORMAT,
         "original_n": original.n,
@@ -80,14 +82,12 @@ def log_document(
         ],
         "inequalities": [
             {
-                "pass": rec.pass_number,
                 "rule": rec.verdict.rule_id,
                 "unique": rec.verdict.unique,
                 "m_bound": rec.m_bound,
-                "snapshot": rec.snapshot_id,
                 **_conclusion_json(rec.verdict.conclusion),
             }
-            for rec in log.inequality_records
+            for rec in inequalities
         ],
         "wall_time_s": wall_time_s,
     }
@@ -238,15 +238,15 @@ def cmd_reduce(args) -> int:
             for path in paths
         )
         start = time.perf_counter()
-        reduced, log, solution_map = engine.run_to_fixed_point(
-            original, args.emit_inequalities
-        )
+        reduced, log, solution_map = engine.run_to_fixed_point(original)
         elapsed = time.perf_counter() - start
-        doc = log_document(original, reduced, log, solution_map, elapsed,
+        on_ids = (relabel(reduced, range(1, reduced.n + 1), solution_map.survivors, original.n)
+                  if args.emit_inequalities or (out_fh and not args.renumber) else None)
+        mined = engine.mine_inequalities(on_ids) if args.emit_inequalities else []
+        doc = log_document(original, reduced, log, solution_map, elapsed, mined,
                            renumber=args.renumber)
         if out_fh:
-            write_instance(reduced if args.renumber else relabel(
-                reduced, range(1, reduced.n + 1), solution_map.survivors, original.n), out_fh)
+            write_instance(reduced if args.renumber else on_ids, out_fh)
         if log_fh:
             json.dump(doc, log_fh, indent=1)
     print(report_table(doc))
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("-o", "--output", help="reduced instance file")
     p.add_argument("--log", help="JSON log/solution-map document")
-    p.add_argument("--emit-inequalities", action="store_true")
+    p.add_argument("--emit-inequalities", action="store_true",
+                   help="log the pairwise inequalities mined on the reduced instance")
     p.add_argument("--renumber", action="store_true",
                    help="emit the reduced instance densely renumbered")
     p.set_defaults(func=cmd_reduce)

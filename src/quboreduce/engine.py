@@ -22,7 +22,9 @@ live edges on arrays.
 Every state change is logged as an event, a verdict whose conclusion is the
 eliminations ``(h, a, b, i)`` it made; applying the logged conclusions in
 order with :func:`apply_conclusion` to a fresh state rebuilds each
-intermediate state of the run, so the engine keeps no snapshots.
+intermediate state of the run, so the engine keeps no snapshots.  The
+inequality rules reduce nothing, and only :func:`mine_inequalities` judges
+them, on the reduced instance.
 """
 
 from __future__ import annotations
@@ -45,12 +47,8 @@ class LoggedEvent:
 
 @dataclass
 class InequalityRecord:
-    pass_number: int
     verdict: rules.RuleVerdict
     m_bound: int
-    # The state's event count when mined: replaying the logged events on a
-    # fresh state reaches that count exactly where the record was made.
-    snapshot_id: int
 
 
 @dataclass
@@ -58,7 +56,6 @@ class ReductionLog:
     """Ordered record of everything a run did."""
 
     events: list[LoggedEvent] = field(default_factory=list)
-    inequality_records: list[InequalityRecord] = field(default_factory=list)
     pass_drops: list[int] = field(default_factory=list)
 
     @property
@@ -168,10 +165,9 @@ def apply_conclusion(state: ReductionState, eliminations: rules.Conclusion) -> N
 
 
 class _Reducer:
-    def __init__(self, state: ReductionState, log: ReductionLog, emit_inequalities: bool = False):
+    def __init__(self, state: ReductionState, log: ReductionLog):
         self.s = state
         self.log = log
-        self.emit_inequalities = emit_inequalities
         self.sched = ResidualScheduler(state.n)
         # stamps[v] is touched[v] at v's last exam; row v is dirty, and due
         # for the next pass, while the two differ.
@@ -191,23 +187,6 @@ class _Reducer:
 
     # -- pair handling -------------------------------------------------------
 
-    def _mine(self, pass_no: int, i: int, h: int) -> None:
-        s = self.s
-        a, b = (i, h) if i < h else (h, i)
-        d = s.adj[a][b]
-        extreme = s.max_val if d > 0 else s.min_val
-        for verdict in rules.derive_pair_inequalities(s, a, b):
-            # A verdict is recorded only where its condition is loosest: at
-            # its endpoint's extreme edge of the edge's sign, and among edges
-            # tied there, at the one to the smallest neighbour.
-            endpoint = rules.PAIR_RULES_BY_ID[verdict.rule_id].endpoint
-            v, w = (a, b) if endpoint == "i" else (b, a)
-            if d != extreme[v] or min(k for k, x in s.adj[v].items() if x == d) != w:
-                continue
-            self.log.inequality_records.append(InequalityRecord(
-                pass_no, verdict, rules.m_lower_bound(s, verdict), s.events
-            ))
-
     def _try_pair(self, pass_no: int, i: int, h: int) -> rules.RuleVerdict | None:
         """Probe (i, h) with the pair-assignment rules of the edge's sign, in table order.
 
@@ -219,8 +198,6 @@ class _Reducer:
             if v is not None:
                 self._apply(pass_no, v)
                 return v
-        if self.emit_inequalities:
-            self._mine(pass_no, i, h)
         return None
 
     # -- passes -------------------------------------------------------------
@@ -351,21 +328,16 @@ def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
     return relabel(reduced, survivors, range(1, len(survivors) + 1), len(survivors))
 
 
-def run_to_fixed_point(
-    instance: QuboInstance, emit_inequalities: bool = False
-) -> tuple[QuboInstance, ReductionLog, SolutionMap]:
+def run_to_fixed_point(instance: QuboInstance) -> tuple[QuboInstance, ReductionLog, SolutionMap]:
     """Reduce an instance until no rule fires.
 
     Returns the reduced problem indexed densely over the survivors (position
     k corresponds to original variable ``solution_map.survivors[k-1]``), the
-    event log, and the solution map for reconstruction.  With
-    emit_inequalities, the pairwise inequalities of every pair the scan
-    passes probe without a pair assignment are mined into
-    ``log.inequality_records``.
+    event log, and the solution map for reconstruction.
     """
     state = init_state(instance)
     log = ReductionLog()
-    reducer = _Reducer(state, log, emit_inequalities)
+    reducer = _Reducer(state, log)
     pass_no = 0
     while True:
         pass_no += 1
@@ -379,30 +351,37 @@ def run_to_fixed_point(
 _CHECK_BLOCK = 1 << 16
 
 
-def verify_fixed_point(state: ReductionState) -> bool:
-    """Exhaustive check that no rule in the catalog fires anywhere.
+def _slack_arrays(state: ReductionState) -> tuple[np.ndarray, np.ndarray]:
+    """Every variable's slacks u = c + D^+, w = -(c + D^-) (see :func:`rules.slacks`).
 
-    The state is judged on arrays.  A free variable fixes when one of its
-    slacks u = c + D^+, w = -(c + D^-) (see :func:`rules.slacks`) is <= 0.
-    Otherwise each of the state's :func:`_live_edges` is judged by the
-    substitution row of its sign in :data:`rules.PAIR_RULES`, on the
-    endpoints' slacks.  No other reducing row can fire where that one does
-    not: with positive slacks, a pair-assignment threshold is a sum of two
-    slacks, each of which one minimum of the substitution threshold of the
-    same sign takes, so it exceeds that threshold.
-
-    No two slacks are added, so the check runs on int64 while max|c| +
-    max(D^+, -D^-), a bound on every slack and every |d|, is below 2^63,
-    and on exact Python integers beyond that.  The bound comes from the
+    No two slacks are added by their callers, so the arrays are int64 while
+    max|c| + max(D^+, -D^-), a bound on every slack and every |d|, is below
+    2^63, and exact Python integers beyond that.  The bound comes from the
     current values: a substitution can grow c after the state was built.
-    Edges are judged ``_CHECK_BLOCK`` at a time, and the check ends at the
-    first block where a rule fires.
     """
     c, d_plus, d_minus = state.c, state.d_plus, state.d_minus
     big = max(map(abs, c)) + max(max(d_plus), -min(d_minus))
     dtype = np.int64 if big < 1 << 63 else object
     c = np.array(c, dtype=dtype)
-    u, w = c + np.array(d_plus, dtype=dtype), -(c + np.array(d_minus, dtype=dtype))
+    u = c + np.array(d_plus, dtype=dtype)
+    c += np.array(d_minus, dtype=dtype)
+    return u, np.negative(c, out=c)
+
+
+def verify_fixed_point(state: ReductionState) -> bool:
+    """Exhaustive check that no rule in the catalog fires anywhere.
+
+    The state is judged on arrays.  A free variable fixes when one of its
+    :func:`_slack_arrays` u, w is <= 0.  Otherwise each of the state's
+    :func:`_live_edges` is judged by the substitution row of its sign in
+    :data:`rules.PAIR_RULES`, on the endpoints' slacks.  No other reducing
+    row can fire where that one does not: with positive slacks, a
+    pair-assignment threshold is a sum of two slacks, each of which one
+    minimum of the substitution threshold of the same sign takes, so it
+    exceeds that threshold.  Edges are judged ``_CHECK_BLOCK`` at a time,
+    and the check ends at the first block where a rule fires.
+    """
+    u, w = _slack_arrays(state)
     free = np.array(state.status) == FREE
     free[0] = False  # index 0 is no variable
     if (np.minimum(u, w)[free] <= 0).any():
@@ -418,3 +397,37 @@ def verify_fixed_point(state: ReductionState) -> bool:
             if (abs(dk[sel]) >= threshold).any():
                 return False
     return True
+
+
+def mine_inequalities(instance: QuboInstance) -> list[InequalityRecord]:
+    """The pairwise inequalities the catalog mines on the instance's edges.
+
+    Each edge is judged on arrays by the :data:`rules.MINING` rows of its
+    sign, as :func:`rules.derive_pair_inequalities` judges one pair.  A row
+    reads one endpoint's slack, so its verdict is recorded only where it is
+    loosest: on an edge holding that endpoint's extreme value of the sign,
+    the one to the smallest neighbour if several do.  Records follow the
+    edge table, then the rows.  Raises ValueError if an endpoint fixes.
+    """
+    state = init_state(instance)
+    u, w = _slack_arrays(state)
+    lo, hi, d = state.setup_edges
+    fixes = np.intersect1d(np.union1d(lo, hi), (np.minimum(u, w) <= 0).nonzero()[0])
+    if len(fixes):
+        raise ValueError(f"variable {fixes[0]} fixes: inequalities are mined at a fixed point")
+    d = d.astype(u.dtype, copy=False)  # abs() of int64's -2^63 would wrap
+    side = (d > 0).astype(np.int64)  # row 1 of ext and nearest for positive edges
+    ext = np.array((state.min_val, state.max_val), dtype=u.dtype)
+    ends = {"i": (lo, hi), "h": (hi, lo)}
+    at = {end: d == ext[side, v] for end, (v, _) in ends.items()}
+    nearest = np.full((2, state.n + 1), state.n + 1)
+    for end, (v, other) in ends.items():
+        np.minimum.at(nearest, (side[at[end]], v[at[end]]), other[at[end]])
+    loosest = {end: at[end] & (nearest[side, v] == other) for end, (v, other) in ends.items()}
+    size, slack = abs(d), (u[lo], w[lo], u[hi], w[hi])
+    fired = np.array([(side == (rule.sign > 0)) & loosest[rule.endpoint]
+                      & (size >= rule.threshold(*slack)) for rule in rules.MINING])
+    edges, rows = fired.T.nonzero()
+    verdicts = [rules.MINING[r].probe(state, a, b)
+                for a, b, r in zip(lo[edges].tolist(), hi[edges].tolist(), rows.tolist())]
+    return [InequalityRecord(v, rules.m_lower_bound(state, v)) for v in verdicts]

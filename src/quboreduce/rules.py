@@ -192,15 +192,14 @@ PAIR_RULES_BY_ID = {rule.rule_id: rule for rule in PAIR_RULES}
 # Keyed by d > 0, in table order: the rules that reduce an edge of that sign;
 # among them the pair assignments (two eliminations), which the scan passes
 # try, and the substitution (one), which the residual sweep and the
-# fixed-point check try; and the rules that mine it.
+# fixed-point check try.  MINING holds the inequality rules, in table order.
 _REDUCING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint is None)
              for pos in (True, False)}
 PAIR_ASSIGNMENTS = {pos: tuple(r for r in rows if len(r.conclude(1, 2)) == 2)
                     for pos, rows in _REDUCING.items()}
 SUBSTITUTION = {pos: next(r for r in rows if len(r.conclude(1, 2)) == 1)
                 for pos, rows in _REDUCING.items()}
-_MINING = {pos: tuple(r for r in PAIR_RULES if (r.sign > 0) == pos and r.endpoint)
-           for pos in (True, False)}
+MINING = tuple(r for r in PAIR_RULES if r.endpoint)
 
 
 # --- the slack screen ------------------------------------------------------
@@ -238,11 +237,7 @@ def derive_pair_inequalities(state: ReductionState, i: int, h: int) -> list[Rule
     the at-most-one / at-least-one kinds.
     """
     a, b = canonical_pair(i, h)
-    d = state.adj[a].get(b)
-    if d is None:
-        return []
-    slack = (*slacks(state, a), *slacks(state, b))
-    return [v for rule in _MINING[d > 0] if (v := rule.judge(abs(d), a, b, *slack))]
+    return [v for rule in MINING if (v := rule.probe(state, a, b))]
 
 
 # --- penalty weights -------------------------------------------------------

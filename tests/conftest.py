@@ -5,7 +5,9 @@ import random
 import pytest
 
 from quboreduce import rules
-from quboreduce.engine import PassSummary, ReductionLog, _Reducer, apply_conclusion
+from quboreduce.engine import (
+    InequalityRecord, PassSummary, ReductionLog, _Reducer, apply_conclusion,
+)
 from quboreduce.model import QuboInstance, build_from_triplets, evaluate
 from quboreduce.state import FREE, ReductionState, init_state
 
@@ -150,6 +152,28 @@ def reduction_firings(st):
                     verdict = rule.judge(abs(d), i, h, ui, wi, uh, wh)
                     if verdict:
                         yield verdict
+
+
+def mined_reference(st: ReductionState) -> list[InequalityRecord]:
+    """The records mined on the state's edges (i, h), i < h, in ascending order.
+
+    The scalar reference for :func:`quboreduce.engine.mine_inequalities`.
+    Each verdict of :func:`rules.derive_pair_inequalities` is kept only
+    where its condition is loosest: at its endpoint's extreme edge of the
+    edge's sign, and among edges tied there, at the one to the smallest
+    neighbour.  Its bound is :func:`rules.m_lower_bound`.
+    """
+    out = []
+    for i in st.free_variables():
+        for h in sorted(h for h in st.adj[i] if h > i):
+            d = st.adj[i][h]
+            extreme = st.max_val if d > 0 else st.min_val
+            for verdict in rules.derive_pair_inequalities(st, i, h):
+                endpoint = rules.PAIR_RULES_BY_ID[verdict.rule_id].endpoint
+                v, w = (i, h) if endpoint == "i" else (h, i)
+                if d == extreme[v] and min(k for k, x in st.adj[v].items() if x == d) == w:
+                    out.append(InequalityRecord(verdict, rules.m_lower_bound(st, verdict)))
+    return out
 
 
 def catalog_firings(st) -> list:

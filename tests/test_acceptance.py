@@ -16,9 +16,11 @@ from conftest import (
     restricted_optimum, run_first_pass, run_residual_pass, snapshot, sweep_instance,
 )
 from quboreduce import rules
-from quboreduce.engine import ReductionLog, run_to_fixed_point, verify_fixed_point
+from quboreduce.engine import (
+    ReductionLog, mine_inequalities, run_to_fixed_point, verify_fixed_point,
+)
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
-from quboreduce.model import build_from_triplets, evaluate
+from quboreduce.model import build_from_triplets, evaluate, relabel
 from quboreduce.oracle import brute_force_solve, check_equivalence
 from quboreduce.state import init_state
 
@@ -282,28 +284,24 @@ def test_criterion_6_penalty_correctness():
         inst = sweep_instance(100000 + t)
         if inst.n > 12:
             continue
-        _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
-        qualifying = [
-            rec for rec in log.inequality_records
-            if isinstance(rec.verdict.conclusion, rules.Inequality)
-            and rec.verdict.conclusion.kind in kinds
-        ]
+        # Mined on the reduced instance over the original ids, as reduce
+        # --emit-inequalities writes them.
+        reduced, _, smap = run_to_fixed_point(inst)
+        on_ids = relabel(reduced, range(1, reduced.n + 1), smap.survivors, inst.n)
+        qualifying = [rec for rec in mine_inequalities(on_ids)
+                      if rec.verdict.conclusion.kind in kinds]
         if not qualifying:
             continue
         instances_checked += 1
-        wanted = {rec.snapshot_id for rec in qualifying[:4]}
-        snaps = {st.events: snapshot(st) for st in replay(inst, log.events)
-                 if st.events in wanted}
         for rec in qualifying[:4]:
-            snap = snaps[rec.snapshot_id]
             concl = rec.verdict.conclusion
             i, h, kind = concl.i, concl.h, concl.kind
-            penalized = rules.penalty_rewrite(snap, kind, i, h, rec.m_bound + 1)
+            penalized = rules.penalty_rewrite(on_ids, kind, i, h, rec.m_bound + 1)
             best, optima = optima_by_enumeration(penalized)
             assert all(kinds[kind](x, i, h) for x in optima), (
                 f"instance {t}: penalized optimum violates {kind}"
             )
-            want = restricted_optimum(snap, lambda x: kinds[kind](x, i, h))
+            want = restricted_optimum(on_ids, lambda x: kinds[kind](x, i, h))
             assert best == want, (
                 f"instance {t}: penalized optimum {best} != restricted {want}"
             )

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from conftest import random_instance, sweep_instance
-from quboreduce import engine, generator
+from quboreduce import engine, generator, mine_inequalities
 from quboreduce.cli import log_document, main, solution_map_from_document
-from quboreduce.model import read_instance, write_instance
+from quboreduce.model import read_instance, relabel, write_instance
 from quboreduce.oracle import brute_force_solve
 
 
@@ -435,7 +435,7 @@ class TestReduceVerify:
         for t in range(300):
             inst = sweep_instance(t)
             reduced, log, smap = engine.run_to_fixed_point(inst)
-            doc = json.loads(json.dumps(log_document(inst, reduced, log, smap, 0.0)))
+            doc = json.loads(json.dumps(log_document(inst, reduced, log, smap, 0.0, [])))
             back = solution_map_from_document(doc)
             for bits in brute_force_solve(reduced).optima:
                 y = dict(zip(smap.survivors, bits))
@@ -466,12 +466,28 @@ class TestReduceVerify:
         assert captured.err == "error: out of memory\n" and captured.out == ""
 
     def test_emit_inequalities_recorded(self, tmp_path):
-        src = tmp_path / "iq.qubo"
-        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 -4\nq 1 2 -1\nq 1 3 2\nq 2 3 2\n")
-        log = tmp_path / "iq_log.json"
-        assert run(["reduce", src, "--log", log, "--emit-inequalities"]) == 0
-        doc = json.loads(log.read_text())
-        assert isinstance(doc["inequalities"], list)
+        # The logged records are those mined on the reduced file read back
+        # over the original ids, with or without --renumber: here 5 records
+        # on the survivors 2, 3, 4 and 8 of 8 variables.  Without the flag,
+        # none are logged.
+        src, red, log = tmp_path / "iq.qubo", tmp_path / "iq_red.qubo", tmp_path / "iq.json"
+        write_instance(sweep_instance(53), src)
+        for flags in ([], ["--renumber"]):
+            assert run(["reduce", src, "-o", red, "--log", log, "--emit-inequalities",
+                        *flags]) == 0
+            doc = json.loads(log.read_text())
+            reduced = read_instance(red)
+            if flags:
+                reduced = relabel(reduced, range(1, reduced.n + 1), doc["survivors"], 8)
+            want = [{"rule": r.verdict.rule_id, "unique": r.verdict.unique,
+                     "m_bound": r.m_bound, "type": "inequality",
+                     "kind": r.verdict.conclusion.kind.value,
+                     "i": r.verdict.conclusion.i, "h": r.verdict.conclusion.h}
+                    for r in mine_inequalities(reduced)]
+            assert doc["survivors"] == [2, 3, 4, 8]
+            assert doc["inequalities"] == want and len(want) == 5
+        assert run(["reduce", src, "--log", log]) == 0
+        assert json.loads(log.read_text())["inequalities"] == []
 
 
 class TestSolve:

@@ -8,18 +8,18 @@ import pytest
 
 from conftest import (
     RESIDUAL_COMPLEMENT, RESIDUAL_EQUAL, RULE_SILENT, check_consistency, dense_reference,
-    optima_by_enumeration, random_instance, reduction_firings, replay, run_first_pass,
-    run_residual_pass, shuffled_instance, sweep_instance,
+    mined_reference, optima_by_enumeration, random_instance, reduction_firings, replay,
+    run_first_pass, run_residual_pass, shuffled_instance, sweep_instance,
 )
 from quboreduce import engine, rules
 from quboreduce.cli import log_document
 from quboreduce.engine import (
     ReductionLog, ResidualScheduler, SolutionMap, _dense_reduced, _Reducer,
-    reconstruct_solution, run_to_fixed_point, verify_fixed_point,
+    mine_inequalities, reconstruct_solution, run_to_fixed_point, verify_fixed_point,
 )
 from quboreduce.generator import GeneratorSpec, design_table, generate_instance
 from quboreduce.model import (
-    QuboInstance, build_from_triplets, canonical_pair, evaluate, write_instance,
+    QuboInstance, build_from_triplets, canonical_pair, evaluate, relabel, write_instance,
 )
 from quboreduce.oracle import brute_force_solve, check_equivalence
 from quboreduce.state import ReductionState, init_state
@@ -258,6 +258,51 @@ class TestVerifyFixedPoint:
                 assert all(row.threshold(*slack) > below for row in rules.PAIR_ASSIGNMENTS[pos])
 
 
+class TestMineInequalities:
+    def test_matches_the_scalar_reference(self):
+        # Verdicts, order and bounds, at the fixed points of the sweep, of
+        # tie-heavy draws and of a generated instance.
+        rng = random.Random(2024)
+        instances = [sweep_instance(t) for t in range(1000)]
+        instances += [random_instance(rng, rng.randint(2, 12), coef=2) for _ in range(400)]
+        instances.append(generate_instance(
+            GeneratorSpec.from_design(2000, 20000, design_table()[0], seed=42)))
+        seen = {"records": 0, "tie": 0}
+        for inst in instances:
+            reduced, _, _ = run_to_fixed_point(inst)
+            records = mine_inequalities(reduced)
+            assert records == mined_reference(init_state(reduced)), inst
+            seen["records"] += len(records)
+            seen["tie"] += any(not rec.verdict.unique for rec in records)
+        assert seen["records"] > 2000 and seen["tie"] > 0, seen
+
+    def test_exact_integers(self):
+        # Scaled by 2^70, a run reaches the scaled fixed point, which mines
+        # the same verdicts (seven records here, one not unique) with bounds
+        # 2^70 times as large.
+        inst = sweep_instance(16)
+        big = QuboInstance(inst.n, {i: v << 70 for i, v in inst.linear.items()},
+                           {k: d << 70 for k, d in inst.quadratic.items()}, inst.offset << 70)
+        records = mine_inequalities(run_to_fixed_point(inst)[0])
+        reduced = run_to_fixed_point(big)[0]
+        scaled = mine_inequalities(reduced)
+        assert scaled == mined_reference(init_state(reduced))
+        assert [(r.verdict, r.m_bound << 70) for r in records] == [
+            (r.verdict, r.m_bound) for r in scaled]
+        assert len(records) == 7
+        # An int64 edge of -2^63, whose abs() would wrap on int64.
+        edge = QuboInstance(2, {1: 2**62, 2: 2**62}, {(1, 2): -2**63})
+        assert mine_inequalities(edge) == mined_reference(init_state(edge))
+        assert [r.verdict.rule_id for r in mine_inequalities(edge)] == [
+            "R2_1", "R2_1p", "R1_2", "R1_2p"]
+
+    def test_refuses_a_fixable_endpoint(self):
+        # x1 fixes to 1 (w_1 = -5); x3 has no edge and is not judged.
+        inst = build_from_triplets(3, [(1, 1, 5), (2, 2, -1), (3, 3, 4), (1, 2, 2)])
+        with pytest.raises(ValueError, match="variable 1 fixes"):
+            mine_inequalities(inst)
+
+
 class TestResidual:
     def test_empty_lists_do_nothing(self):
         state = init_state(RULE_SILENT)
@@ -363,7 +408,7 @@ class TestResidual:
         assert any(ev.verdict.rule_id in (rules.R2_5, rules.R2_6) for ev in log.events)
         # The run's events in order, as the log document holds them: a change
         # of scheduling order shows here.
-        events = json.dumps(log_document(inst, reduced, log, smap, 0.0)["events"])
+        events = json.dumps(log_document(inst, reduced, log, smap, 0.0, [])["events"])
         assert len(log.events) == 377
         assert hashlib.sha256(events.encode()).hexdigest()[:16] == "4491cbfdfe4d07a3"
 
@@ -428,10 +473,10 @@ class TestInstrumentation:
             total += len(probed_rows)
         assert total > 10000
 
-    def test_tied_extreme_edges_record_at_smallest_neighbour(self, probes):
+    def test_tied_extreme_edges_record_at_smallest_neighbour(self):
         # Row 1's largest value, 3, sits on its edges to 2 and 3.  Both pairs
-        # are probed without a pair fix and both yield row 1's R1_1 verdict,
-        # which is recorded once: at the smaller neighbour, 2.
+        # yield row 1's R1_1 verdict, which is recorded once: at the smaller
+        # neighbour, 2.  No rule reduces the instance.
         inst = build_from_triplets(4, [
             (1, 1, -1), (2, 2, -6), (3, 3, -6), (4, 4, -6), (1, 2, 3), (1, 3, 3),
             (1, 4, 2), (2, 3, 8), (2, 4, -8), (3, 4, 8)])
@@ -440,11 +485,8 @@ class TestInstrumentation:
             verdict = rules.RuleVerdict(
                 rules.R1_1, (1, w), rules.Inequality(rules.InequalityKind.H_LE_I, 1, w), True)
             assert verdict in rules.derive_pair_inequalities(st, 1, w)
-        probes.clear()
-        _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
-        assert not log.events
-        assert {(min(i, h), max(i, h)) for _, i, h, _ in probes} >= {(1, 2), (1, 3)}
-        row_1 = [r.verdict.conclusion for r in log.inequality_records
+        assert verify_fixed_point(st)
+        row_1 = [r.verdict.conclusion for r in mine_inequalities(inst)
                  if r.verdict.rule_id == rules.R1_1 and r.verdict.conclusion.i == 1]
         assert [c.h for c in row_1] == [2]
 
@@ -590,22 +632,15 @@ class TestScheduleIndependence:
 class TestReplay:
     def test_replay_rebuilds_the_run(self):
         rng = random.Random(72)
-        mined = 0
         for _ in range(150):
             inst = random_instance(rng, rng.randint(2, 14))
-            reduced, log, smap = run_to_fixed_point(inst, emit_inequalities=True)
-            seen_events = set()
+            reduced, log, smap = run_to_fixed_point(inst)
             for st in replay(inst, log.events):
                 check_consistency(st)
-                seen_events.add(st.events)
             survivors = st.free_variables()
             assert survivors == smap.survivors
             assert st.offset == reduced.offset
             assert _dense_reduced(st, survivors) == reduced
-            for rec in log.inequality_records:
-                assert rec.snapshot_id in seen_events
-                mined += 1
-        assert mined > 0
 
 
 class TestNamedOperations:
@@ -713,35 +748,41 @@ class TestMultiPass:
         assert verify_fixed_point(init_state(reduced))
 
     def test_pinned_sweep_outputs(self):
-        # One digest over what 1,000 small mined runs write: the log document
-        # without its wall time (events, inequality records, passes, rule
-        # counts, solution map, offset) and the reduced instance.  Refactors
-        # keep it; a deliberate change of fixed point (such as one scheduler
-        # for every rule) re-pins it and says so in CHANGES.md.
+        # One digest over what 1,000 small runs write, with the inequalities
+        # mined on each reduced instance: the log document without its wall
+        # time (events, inequality records, passes, rule counts, solution
+        # map, offset) and the reduced instance.  Refactors keep it; a
+        # deliberate change of fixed point (such as one scheduler for every
+        # rule) re-pins it and says so in CHANGES.md.
         digest = hashlib.sha256()
         for t in range(1000):
             inst = sweep_instance(t)
-            reduced, log, smap = run_to_fixed_point(inst, True)
-            doc = log_document(inst, reduced, log, smap, 0.0)
+            reduced, log, smap = run_to_fixed_point(inst)
+            mined = mine_inequalities(relabel(reduced, range(1, reduced.n + 1),
+                                              smap.survivors, inst.n))
+            doc = log_document(inst, reduced, log, smap, 0.0, mined)
             del doc["wall_time_s"]
             digest.update(json.dumps(doc).encode())
             text = io.StringIO()
             write_instance(reduced, text)
             digest.update(text.getvalue().encode())
-        assert digest.hexdigest()[:16] == "b134a4071c06544d"
+        assert digest.hexdigest()[:16] == "61e179a5553a6e16"
 
     def test_pinned_mined_records(self):
-        # generate --size 2000 --edges 20000 --seed 42 --design-row 1, mined:
-        # pins each record's M bound and the extreme-edge screen at scale
+        # generate --size 2000 --edges 20000 --seed 42 --design-row 1, mined
+        # over the original ids: pins each record's M bound and the
+        # extreme-edge selection at scale
         spec = GeneratorSpec.from_design(2000, 20000, design_table()[0], seed=42)
-        _, log, _ = run_to_fixed_point(generate_instance(spec), emit_inequalities=True)
+        reduced, _, smap = run_to_fixed_point(generate_instance(spec))
+        records = mine_inequalities(relabel(reduced, range(1, reduced.n + 1),
+                                            smap.survivors, spec.n))
         text = "".join(
             f"{r.verdict.rule_id} {r.verdict.conclusion.kind.value} {r.verdict.conclusion.i} "
-            f"{r.verdict.conclusion.h} {r.verdict.unique} {r.m_bound} {r.snapshot_id}\n"
-            for r in log.inequality_records
+            f"{r.verdict.conclusion.h} {r.verdict.unique} {r.m_bound}\n"
+            for r in records
         )
-        assert len(log.inequality_records) == 4647
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f04b01516c8cf7cd"
+        assert len(records) == 744
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6e838dec9bbd351a"
 
     def test_pass_drop_counts_are_variables(self):
         _, log, smap = run_to_fixed_point(TRIPLE)

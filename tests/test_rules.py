@@ -8,8 +8,8 @@ from conftest import (
     restricted_optimum, snapshot, sweep_instance,
 )
 from quboreduce import rules
-from quboreduce.engine import run_to_fixed_point
-from quboreduce.model import build_from_triplets
+from quboreduce.engine import mine_inequalities, run_to_fixed_point
+from quboreduce.model import build_from_triplets, relabel
 from quboreduce.rules import (
     Inequality, InequalityKind, RuleVerdict, derive_pair_inequalities, m_lower_bound,
     penalty_rewrite, rule_fix_one, rule_fix_zero,
@@ -333,25 +333,23 @@ class TestSlackScreen:
         assert (("R2_1", False) in fired) is passes
 
     def test_screen_passes_every_firing_edge_of_the_sweep(self):
-        # Every replayed state of the acceptance sweep's mining runs, and
-        # every state where an inequality was mined.
+        # Every replayed state of the acceptance sweep's runs, and every pair
+        # mined on the final one.
         for t in range(1000):
             inst = sweep_instance(t)
-            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
-            mined = {}
-            for rec in log.inequality_records:
-                mined.setdefault(rec.snapshot_id, []).append(rec.verdict.conclusion)
+            reduced, log, smap = run_to_fixed_point(inst)
             for st in replay(inst, log.events):
                 assert screen_rejects_a_firing_edge(st) is None, f"instance {t}"
-                for concl in mined.pop(st.events, ()):
-                    assert rules.pair_may_fire(st, concl.i, concl.h), f"instance {t}"
-            assert not mined
+            on_ids = relabel(reduced, range(1, reduced.n + 1), smap.survivors, inst.n)
+            for rec in mine_inequalities(on_ids):
+                concl = rec.verdict.conclusion
+                assert rules.pair_may_fire(st, concl.i, concl.h), f"instance {t}"
 
     def test_screen_passes_every_firing_edge_on_tie_heavy_states(self):
         rng = random.Random(2024)
         for _ in range(400):
             inst = random_instance(rng, rng.randint(2, 12), coef=2)
-            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            _, log, _ = run_to_fixed_point(inst)
             for st in replay(inst, log.events):
                 assert screen_rejects_a_firing_edge(st) is None
 
@@ -494,7 +492,7 @@ class TestTableMatchesPaper:
     def test_on_the_sweep_states(self):
         for t in range(1000):
             inst = sweep_instance(t)
-            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            _, log, _ = run_to_fixed_point(inst)
             for st in replay(inst, log.events):
                 assert table_disagrees_with_paper(st) is None, f"instance {t}"
 
@@ -502,7 +500,7 @@ class TestTableMatchesPaper:
         rng = random.Random(2024)
         for _ in range(400):
             inst = random_instance(rng, rng.randint(2, 12), coef=2)
-            _, log, _ = run_to_fixed_point(inst, emit_inequalities=True)
+            _, log, _ = run_to_fixed_point(inst)
             for st in replay(inst, log.events):
                 assert table_disagrees_with_paper(st) is None
 
