@@ -4,17 +4,16 @@ A row is dirty when its data (c_v and its edges) changed since its last exam.
 Each pass is one generation of dirty rows: every free row dirty at its start
 is examined in ascending id order, first by the single-variable rules, then
 paired for the pair-assignment rules with its clean neighbours, on the edges
-that pass the slack screen :func:`rules.pair_may_fire`.  A pair with a dirty
-endpoint is probed when that endpoint's turn comes, so when no row is dirty
-no fix or pair rule fires anywhere.  Once a pass drops nothing, a residual
-sweep applies the complement and equality substitutions: per-variable flags
-screen the edges, and the substitution rows of :data:`rules.PAIR_RULES`
-decide each one.  One sweep applies every substitution it finds; if it
-found any, the passes resume, and the whole loop repeats until truly
-nothing fires.
+whose |d| reaches the sum of the endpoints' smaller slacks (a row none of
+whose edges exceeds its own smaller slack is not walked).  A pair with a
+dirty endpoint is probed when that endpoint's turn comes, so when no row is
+dirty no fix or pair rule fires anywhere.  Once a pass drops nothing, a
+residual sweep applies the complement and equality substitutions:
+per-variable flags and :func:`rules.pair_may_fire` screen the edges, and the
+substitution rows of :data:`rules.PAIR_RULES` decide each one.  One sweep
+applies every substitution it finds; if it found any, the passes resume, and
+the whole loop repeats until truly nothing fires.
 
-The first pass walks a row's neighbours from the set-up screen while the
-row and its clean neighbours are untouched: the same probes, fewer tests.
 The reduced instance is a sorted edge table built from the set-up arrays
 and the rows of touched survivors; :func:`verify_fixed_point` judges the same
 live edges on arrays.
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -172,8 +172,6 @@ class _Reducer:
         # stamps[v] is touched[v] at v's last exam; row v is dirty, and due
         # for the next pass, while the two differ.
         self.stamps = [-1] * (state.n + 1)
-        # The set-up screen serves the first pass only.
-        self.screen: tuple[list[int], list[int]] | None = state.setup_screen
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -206,19 +204,20 @@ class _Reducer:
         """Examine, in ascending id order, every free row changed since its last exam.
 
         A row whose single-variable rules do not fire probes its neighbours
-        whose rows are clean, through the screen, up to the first pair hit.
-        A neighbour still dirty probes the pair itself later, when both rows
-        are current; a row an event changes after its exam goes to the next
-        pass.
+        whose rows are clean, up to the first pair hit.  A neighbour still
+        dirty probes the pair itself later, when both rows are current; a row
+        an event changes after its exam goes to the next pass.
 
-        In the first pass, a row as at set-up walks its set-up screen, unless
-        a neighbour was examined after a change; else every clean neighbour
-        is untouched, and the screen says what :func:`rules.pair_may_fire` would.
+        Only pairs the pass's own rules could fire on are probed.  Row i and
+        a clean neighbour h were examined unchanged, so their fix rules did
+        not fire: s_i = min(u_i, w_i) and s_h are at least 1.  Every
+        threshold in :data:`rules.PAIR_ASSIGNMENTS` is a sum of one slack of
+        each endpoint, so a row fires on (i, h) only if |d| - s_i reaches
+        u_h or w_h, and none fires anywhere on row i when no |d| exceeds s_i.
         """
         s = self.s
         adj, status, stamps, touched = s.adj, s.status, self.stamps, s.touched
-        screen, self.screen = self.screen, None
-        spoiled: set[int] = set()  # rows with a changed neighbour examined
+        c, d_plus, d_minus, max_val, min_val = s.c, s.d_plus, s.d_minus, s.max_val, s.min_val
         live = s.live_count
         todo = [v for v in s.free_variables() if stamps[v] != touched[v]]
         examined = 0
@@ -231,16 +230,14 @@ class _Reducer:
             if v is not None:
                 self._apply(pass_no, v)
                 continue
-            if screen and not touched[i] and i not in spoiled:
-                starts, screened = screen
-                partners, test = screened[starts[i]:starts[i + 1]], None
-            else:
-                partners, test = adj[i], rules.pair_may_fire
-                if screen and touched[i]:
-                    spoiled.update(adj[i])
+            si = min(c[i] + d_plus[i], -(c[i] + d_minus[i]))
+            if max(max_val[i], -min_val[i]) <= si:
+                continue
             # A hit fixes i and empties adj[i], so the loop must end there.
-            for h in partners:
-                if (stamps[h] == touched[h] and (test is None or test(s, i, h))
+            for h, d in adj[i].items():
+                r = (d if d > 0 else -d) - si
+                if (stamps[h] == touched[h]
+                        and (r >= c[h] + d_plus[h] or r >= -(c[h] + d_minus[h]))
                         and self._try_pair(pass_no, i, h) is not None):
                     break
         drops = live - s.live_count
@@ -304,15 +301,20 @@ def _live_edges(state: ReductionState) -> tuple[np.ndarray, np.ndarray, np.ndarr
     variable (an eliminated variable's row is empty).
     """
     lo, hi, d = state.setup_edges
-    touched, untouched = state.touched, np.array(state.touched) == 0
+    untouched = np.array(state.touched) == 0
     keep = untouched[lo] & untouched[hi]
+    rows = (~untouched).nonzero()[0]
+    row_dicts = [state.adj[v] for v in rows.tolist()]
+    counts = np.fromiter(map(len, row_dicts), np.int64, len(row_dicts))
+    src = np.repeat(rows, counts)
+    dst = np.fromiter(chain.from_iterable(row_dicts), np.int64, len(src))
+    val = int_array(list(chain.from_iterable(map(dict.values, row_dicts))))
     # An edge with both rows touched comes from its smaller end.
-    extra = [(v, w, x) if v < w else (w, v, x) for v in (~untouched).nonzero()[0].tolist()
-             for w, x in state.adj[v].items() if v < w or not touched[w]]
-    ea, eb, ed = zip(*extra) if extra else ((), (), ())
-    return (np.concatenate((lo[keep], np.array(ea, dtype=np.int64))),
-            np.concatenate((hi[keep], np.array(eb, dtype=np.int64))),
-            np.concatenate((d[keep], int_array(list(ed)))))
+    own = (src < dst) | untouched[dst]
+    src, dst = src[own], dst[own]
+    return (np.concatenate((lo[keep], np.minimum(src, dst))),
+            np.concatenate((hi[keep], np.maximum(src, dst))),
+            np.concatenate((d[keep], val[own])))
 
 
 def _dense_reduced(state: ReductionState, survivors: list[int]) -> QuboInstance:
@@ -387,6 +389,7 @@ def verify_fixed_point(state: ReductionState) -> bool:
     if (np.minimum(u, w)[free] <= 0).any():
         return False
     lo, hi, d = _live_edges(state)
+    d = d.astype(u.dtype, copy=False)  # abs() of int64's -2^63 would wrap
     for k in range(0, len(d), _CHECK_BLOCK):
         block = slice(k, k + _CHECK_BLOCK)
         dk = d[block]

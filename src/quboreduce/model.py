@@ -158,13 +158,17 @@ class QuboInstance:
             raise ValueError(f"variable count {n} exceeds the index range")
         if not _integer(type(self.offset)):
             raise ValueError(f"offset {self.offset!r} is not an integer")
-        for i, v in self.linear.items():
-            if not (_integer(type(i)) and 1 <= i <= n):
-                raise ValueError(f"linear index {i!r} outside 1..{n}")
-            if v == 0:
-                raise ValueError(f"zero linear coefficient stored at {i}")
-            if not _integer(type(v)):
-                raise ValueError(f"linear coefficient {v!r} at {i} is not an integer")
+        linear = self.linear  # judged as one set; the loop names a bad entry
+        if not (all(map(_integer, set(map(type, chain(linear, linear.values())))))
+                and (not linear or 1 <= min(linear) and max(linear) <= n)
+                and 0 not in linear.values()):
+            for i, v in linear.items():
+                if not (_integer(type(i)) and 1 <= i <= n):
+                    raise ValueError(f"linear index {i!r} outside 1..{n}")
+                if v == 0:
+                    raise ValueError(f"zero linear coefficient stored at {i}")
+                if not _integer(type(v)):
+                    raise ValueError(f"linear coefficient {v!r} at {i} is not an integer")
         items = self.quadratic.items()
         if not isinstance(self.quadratic, EdgeTable):  # None leaves the map to the loop below
             object.__setattr__(self, "quadratic", _as_table(self.quadratic))

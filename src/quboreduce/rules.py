@@ -208,6 +208,10 @@ MINING = tuple(r for r in PAIR_RULES if r.endpoint)
 def pair_may_fire(state: ReductionState, i: int, h: int) -> bool:
     """Necessary condition for any pair rule to fire on the edge (i, h).
 
+    The residual sweep screens its edges with it; a scan pass tests the
+    sharper bound of its pair assignments (see
+    :meth:`~quboreduce.engine._Reducer.run_pass`).
+
     The screen passes when |d| reaches any of the four slacks u_i, w_i,
     u_h, w_h, that is when |d| >= min(u_i, w_i, u_h, w_h).  If one slack
     is <= 0 it passes trivially; that endpoint then fixes (R2_0 fires when
@@ -220,7 +224,7 @@ def pair_may_fire(state: ReductionState, i: int, h: int) -> bool:
     """
     d = abs(state.adj[i][h])
     c, dm, dp = state.c, state.d_minus, state.d_plus
-    # The four slacks are spelled out here: a pass screens every edge it walks.
+    # The four slacks are spelled out here: a sweep screens every edge it walks.
     return (d >= c[i] + dp[i] or d >= -(c[i] + dm[i])
             or d >= c[h] + dp[h] or d >= -(c[h] + dm[h]))
 

@@ -19,8 +19,7 @@ recorded as ``(h, a, b, i)`` in ``eliminations``, the run's whole record:
 The constructor works on the edge arrays: a stable sort by row, then
 ``reduceat`` per row for sums and extremes, on int64 while exact and on
 Python integers otherwise; only the rows' dicts are built in Python.  It
-keeps the set-up edges and slack screen, true while an edge's rows are
-untouched.
+keeps the set-up edges, true while an edge's rows are untouched.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ReductionState:
         "n", "offset", "c", "adj", "d_minus", "d_plus",
         "min_val", "max_val",
         "status", "touched",
-        "eliminations", "setup_edges", "setup_screen",
+        "eliminations", "setup_edges",
     )
 
     def __init__(self, instance: QuboInstance):
@@ -65,7 +64,7 @@ class ReductionState:
             max(-int(d.min()), int(d.max())) * int(counts.max()) if len(d) else 0)
         dtype = np.int64 if big < 1 << 62 else object
         perm = ends.argsort(kind="stable")
-        row, nbr, val = ends[perm], ends[perm ^ 1], d.astype(dtype, copy=False)[perm >> 1]
+        nbr, val = ends[perm ^ 1], d.astype(dtype, copy=False)[perm >> 1]
         del ends, perm
         # Per row with edges: the sums of its negative and positive values,
         # and its smallest (largest) value if negative (positive), else 0.
@@ -78,17 +77,8 @@ class ReductionState:
         min_val[full], max_val[full] = np.minimum.reduceat(neg, at), np.maximum.reduceat(pos, at)
         del neg, pos
         self.d_minus, self.d_plus, self.min_val, self.max_val = stats.tolist()
-        # True while an edge's rows stay untouched: the set-up edges, and the
-        # neighbours that pass the screen of rules.pair_may_fire, |d| >=
-        # min(u, w) at either end, row v's at first[v]:first[v + 1].
+        # The set-up edges, true while an edge's rows stay untouched.
         self.setup_edges = (lo, hi, d)
-        c = np.array(self.c, dtype=dtype)
-        slack = np.minimum(c + d_plus, -(c + d_minus))
-        sel = (abs(val) >= np.minimum(slack[row], slack[nbr])).nonzero()[0]
-        first = np.zeros(n + 2, dtype=np.int64)
-        np.bincount(row[sel], minlength=n + 1).cumsum(out=first[1:])
-        self.setup_screen = (first.tolist(), nbr[sel].tolist())
-        del row
         # The rows' dicts, from entries converted a block at a time; the keys
         # share one int object per variable.
         ids = list(range(n + 1))

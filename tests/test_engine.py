@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -231,6 +232,17 @@ class TestVerifyFixedPoint:
         assert stored < 1 << 63 <= rules.slacks(st, 1)[0]
         assert not any(reduction_firings(st))
         assert verify_fixed_point(st)
+
+    def test_edge_of_int64_minimum(self):
+        # An int64 edge of -2^63, whose abs() would wrap on int64.  Every
+        # slack is 2^62, so |d| = 2^63 meets R3_2, R3_3 and R2_5, and the
+        # run fires R3_2: the state is no fixed point.
+        inst = QuboInstance(2, {1: 2**62, 2: 2**62}, {(1, 2): -2**63})
+        st = init_state(inst)
+        assert st.setup_edges[2].dtype == np.int64
+        assert [v.rule_id for v in reduction_firings(st)] == ["R3_2", "R3_3", "R2_5"]
+        assert not verify_fixed_point(st)
+        assert run_to_fixed_point(inst)[1].events[0].verdict.rule_id == "R3_2"
 
     @pytest.mark.parametrize("rid", SUBSTITUTION_BOUNDARIES)
     def test_substitution_row_at_its_boundary(self, rid):
@@ -462,9 +474,9 @@ class TestInstrumentation:
         rng = random.Random(75)
         instances = [sweep_instance(t) for t in range(1000)]
         instances += [random_instance(rng, rng.randint(2, 14), coef=2) for _ in range(300)]
-        for row in (1, 3):
-            spec = GeneratorSpec.from_design(2000, 20000, design_table()[row - 1], seed=42)
-            instances.append(generate_instance(spec))
+        # generate --size 2000 --edges 20000 --seed 42..43 --design-row 1..16
+        instances += [generate_instance(GeneratorSpec.from_design(2000, 20000, row, seed=seed))
+                      for seed in (42, 43) for row in design_table()]
         total = 0
         for inst in instances:
             probed_rows.clear()
@@ -526,63 +538,6 @@ class TestInstrumentation:
             assert fired == [ev.verdict for ev in log.events if len(ev.verdict.conclusion) == 2]
             fired_total += len(fired)
         assert fired_total > 0
-
-
-def run_record(inst: QuboInstance, probes: list) -> tuple[list, list]:
-    """The pair probes and the events of a run to the fixed point."""
-    probes.clear()
-    _, log, _ = run_to_fixed_point(inst)
-    return list(probes), [(ev.pass_number, ev.verdict, ev.live_after) for ev in log.events]
-
-
-class TestScreenedFirstPass:
-    """The set-up screen changes which edges the first pass walks, nothing else."""
-
-    @staticmethod
-    def unscreened(monkeypatch):
-        init = _Reducer.__init__
-
-        def plain(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            self.screen = None
-
-        monkeypatch.setattr(_Reducer, "__init__", plain)
-
-    def check(self, instances, probes, monkeypatch) -> int:
-        """Asserts equal runs with and without the screen; returns the screen
-        tests the screened runs saved."""
-        screens = []
-
-        def counted(st, i, h, screen=rules.pair_may_fire):
-            screens[-1] += 1
-            return screen(st, i, h)
-
-        monkeypatch.setattr(rules, "pair_may_fire", counted)
-        saved = 0
-        for inst in instances:
-            screens.append(0)
-            screened = run_record(inst, probes)
-            with monkeypatch.context() as m:
-                self.unscreened(m)
-                screens.append(0)
-                plain = run_record(inst, probes)
-            assert screened == plain
-            saved += screens[-1] - screens[-2]
-        return saved
-
-    def test_sweep_and_tie_heavy_instances(self, probes, monkeypatch):
-        rng = random.Random(75)
-        instances = [sweep_instance(t) for t in range(1000)]
-        instances += [random_instance(rng, rng.randint(2, 14), coef=2) for _ in range(300)]
-        instances += [shuffled_instance(rng, scale) for scale in (1, 2**62, 10**30)
-                      for _ in range(30)]
-        assert self.check(instances, probes, monkeypatch) > 0
-
-    def test_generated_rows(self, probes, monkeypatch):
-        # generate --size 2000 --edges 20000 --seed 42 --design-row 1..16
-        instances = [generate_instance(GeneratorSpec.from_design(2000, 20000, row, seed=42))
-                     for row in design_table()]
-        assert self.check(instances, probes, monkeypatch) > 0
 
 
 class TestDenseReduced:

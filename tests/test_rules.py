@@ -5,10 +5,10 @@ import pytest
 from conftest import (
     catalog_firings as _catalog_firings, check_verdict_against_optima,
     optima_by_enumeration, random_instance, reduction_firings, replay,
-    restricted_optimum, snapshot, sweep_instance,
+    restricted_optimum, shuffled_instance, snapshot, sweep_instance,
 )
 from quboreduce import rules
-from quboreduce.engine import mine_inequalities, run_to_fixed_point
+from quboreduce.engine import ReductionLog, _Reducer, mine_inequalities, run_to_fixed_point
 from quboreduce.model import build_from_triplets, relabel
 from quboreduce.rules import (
     Inequality, InequalityKind, RuleVerdict, derive_pair_inequalities, m_lower_bound,
@@ -352,6 +352,72 @@ class TestSlackScreen:
             _, log, _ = run_to_fixed_point(inst)
             for st in replay(inst, log.events):
                 assert screen_rejects_a_firing_edge(st) is None
+
+
+def pass_bound_counterexample(st) -> str | None:
+    """A pair-assignment firing outside the scan pass's bound, if any.
+
+    Between free variables whose slacks are positive, with s_v = min(u_v, w_v),
+    a row of :data:`rules.PAIR_ASSIGNMENTS` fires on (i, h) only if
+    |d| >= s_i + s_h, so never on a row i with max(max_val, -min_val) <= s_i.
+    """
+    s = {v: min(rules.slacks(st, v)) for v in st.free_variables()}
+    for i in st.free_variables():
+        for h, d in st.adj[i].items():
+            if min(s[i], s[h]) <= 0:
+                continue
+            for rule in rules.PAIR_ASSIGNMENTS[d > 0]:
+                if rule.probe(st, i, h) is None:
+                    continue
+                if abs(d) < s[i] + s[h]:
+                    return f"{rule.rule_id} on ({i}, {h}) below s_i + s_h"
+                if max(st.max_val[i], -st.min_val[i]) <= s[i]:
+                    return f"{rule.rule_id} on ({i}, {h}) in a row within s_i"
+    return None
+
+
+def one_row_pass(instance, i) -> tuple[list, list]:
+    """What a pass that examines row i alone applies, and what it should.
+
+    No variable of the instance fixes, and every row but i counts as
+    examined unchanged.  The pass should apply the first pair-assignment
+    firing on row i, in row order.
+    """
+    st = init_state(instance)
+    reducer = _Reducer(st, ReductionLog())
+    reducer.stamps = st.touched.copy()
+    reducer.stamps[i] = -1
+    want = [v for h, d in st.adj[i].items()
+            for v in (rule.probe(st, i, h) for rule in rules.PAIR_ASSIGNMENTS[d > 0]) if v]
+    reducer.run_pass(1)
+    return [ev.verdict for ev in reducer.log.events], want[:1]
+
+
+class TestPassBound:
+    """The bound by which a scan pass skips a pair or a whole row."""
+
+    def test_on_tie_heavy_and_large_states(self):
+        rng = random.Random(27)
+        instances = [random_instance(rng, rng.randint(2, 12), coef=2) for _ in range(150)]
+        instances += [shuffled_instance(rng, scale) for scale in (1, 2**62, 10**30)
+                      for _ in range(20)]
+        seen = {"fired": 0, "at s_i + s_h": 0}
+        for inst in instances:
+            _, log, _ = run_to_fixed_point(inst)
+            for st in replay(inst, log.events):
+                assert pass_bound_counterexample(st) is None, f"events={st.events}"
+                if any(min(rules.slacks(st, v)) <= 0 for v in st.free_variables()):
+                    continue
+                snap = snapshot(st)
+                for i in st.free_variables():
+                    got, want = one_row_pass(snap, i)
+                    assert got == want, f"row {i} at events={st.events}"
+                    seen["fired"] += len(got)
+                    for v in got:
+                        a, b = v.edge
+                        seen["at s_i + s_h"] += abs(st.adj[a][b]) == sum(
+                            min(rules.slacks(st, x)) for x in v.edge)
+        assert min(seen.values()) > 0, seen
 
 
 # The paper's closed forms, written out independently of rules.PAIR_RULES.
