@@ -33,8 +33,7 @@ print(f"reduced to {reduced.n} variables, constant {reduced.offset}")
 # Each event's conclusion lists the eliminations it made, (h, a, b, i) for
 # x_h := a + b*x_i; a fix has b = 0.
 for event in log.events:
-    print(f"  pass {event.pass_number}: {event.verdict.rule_id}"
-          f" -> {event.verdict.conclusion} (live after: {event.live_after})")
+    print(f"  pass {event.pass_number}: {event.verdict.rule_id} -> {event.verdict.conclusion}")
 
 # Nothing is left to solve, so reconstruction needs no survivor values.
 full = reconstruct_solution(solution_map, {})

@@ -27,24 +27,10 @@ import time
 from . import engine, generator, oracle, rules
 from .model import QuboInstance, read_instance, relabel, write_instance
 
-# An identity x_h = a + b * x_i by its log name: (a, b) per name, name per b.
-_IDENTITY_FORMS = {"same": (0, 1), "complement": (1, -1)}
-_IDENTITY_NAMES = {b: name for name, (_, b) in _IDENTITY_FORMS.items()}
-_SUBSTITUTE_TYPES = {1: "substitute_equal", -1: "substitute_complement"}
-LOG_FORMAT = "quboreduce-log/1"
-
-
-def _conclusion_json(concl: rules.Conclusion) -> dict:
-    """The v1 JSON of a mined relation, or of a verdict's eliminations: one fix,
-    a pair of fixes, or one substitution."""
-    if isinstance(concl, rules.Inequality):
-        return {"type": "inequality", "kind": concl.kind.value, "i": concl.i, "h": concl.h}
-    (h, a, b, i), *pair = concl
-    if pair:
-        return {"type": "pair_fix", "i": h, "vi": a, "h": pair[0][0], "vh": pair[0][1]}
-    if not b:
-        return {"type": "fix", "var": h, "value": a}
-    return {"type": _SUBSTITUTE_TYPES[b], "i": i, "h": h}
+LOG_FORMAT = "quboreduce-log/2"
+# (a, b) of an elimination x_h := a + b * x_i: a fix to 0 or to 1 (b = 0,
+# logged with i = h), an equality, a complement.
+_FORMS = {(0, 0), (1, 0), (0, 1), (1, -1)}
 
 
 def log_document(
@@ -57,15 +43,19 @@ def log_document(
     renumber: bool = False,
 ) -> dict:
     """Structured JSON document holding the log, the report, the map, and
-    the ``inequalities`` mined on the reduced instance over the original ids."""
+    the ``inequalities`` mined on the reduced instance over the original ids.
+
+    Each event's ``conclusion`` is its eliminations ``[h, a, b, i]`` in the
+    order applied, so the events, joined in order, are the map's eliminations.
+    """
     doc = {
         "format": LOG_FORMAT,
         "original_n": original.n,
         "survivors": solution_map.survivors,
+        # The map again, split by form: only perfbench's independent lift reads these.
         "assignments": [[h, a] for h, a, b, _ in solution_map.eliminations if not b],
-        "identities": [
-            [h, _IDENTITY_NAMES[b], i] for h, _, b, i in solution_map.eliminations if b
-        ],
+        "identities": [[h, "same" if b == 1 else "complement", i]
+                       for h, _, b, i in solution_map.eliminations if b],
         "offset": reduced.offset,
         "passes": log.pass_count,
         "pass_drops": log.pass_drops,
@@ -75,8 +65,7 @@ def log_document(
                 "pass": ev.pass_number,
                 "rule": ev.verdict.rule_id,
                 "unique": ev.verdict.unique,
-                "live_after": ev.live_after,
-                "conclusion": _conclusion_json(ev.verdict.conclusion),
+                "conclusion": ev.verdict.conclusion,
             }
             for ev in log.events
         ],
@@ -85,7 +74,9 @@ def log_document(
                 "rule": rec.verdict.rule_id,
                 "unique": rec.verdict.unique,
                 "m_bound": rec.m_bound,
-                **_conclusion_json(rec.verdict.conclusion),
+                "kind": rec.verdict.conclusion.kind.value,
+                "i": rec.verdict.conclusion.i,
+                "h": rec.verdict.conclusion.h,
             }
             for rec in inequalities
         ],
@@ -154,18 +145,26 @@ def _number(value) -> int | float:
     return value
 
 
+def _elimination(entry) -> tuple[int, int, int, int]:
+    """A logged elimination ``[h, a, b, i]``, x_h := a + b * x_i; ValueError
+    unless it is one of the four :data:`_FORMS`."""
+    h, a, b, i = map(_int, entry)
+    if (a, b) not in _FORMS or (not b and i != h):
+        raise ValueError(f"{entry!r} is no fix, equality or complement")
+    return h, a, b, i
+
+
 def solution_map_from_document(doc: dict) -> engine.SolutionMap:
-    """The map of a log document: its identities in logged order, then its fixes,
-    so that the newest-first lift sets every fix before an identity reads it.
-    Its survivors must ascend, as the writer lists them."""
-    fixes = [(_int(h), _int(a), 0, h) for h, a in _field(doc, "assignments")]
-    identities = [(_int(h), *_IDENTITY_FORMS[name], _int(i))
-                  for h, name, i in _field(doc, "identities")]
+    """The map of a log document: its events' eliminations joined in logged
+    order, as the run applied them.  Its survivors must ascend, as the writer
+    lists them."""
+    eliminations = [_elimination(entry) for event in _field(doc, "events")
+                    for entry in _field(event, "conclusion")]
     survivors = [_int(v) for v in _field(doc, "survivors")]
     for a, b in zip(survivors, survivors[1:]):
         if a >= b:
             raise ValueError(f"survivors do not ascend: {a} before {b}")
-    return engine.SolutionMap(identities + fixes, survivors)
+    return engine.SolutionMap(eliminations, survivors)
 
 
 def report_table(doc: dict) -> str:

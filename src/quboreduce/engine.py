@@ -42,7 +42,6 @@ from .state import FREE, ReductionState, init_state
 class LoggedEvent:
     pass_number: int
     verdict: rules.RuleVerdict
-    live_after: int
 
 
 @dataclass
@@ -56,7 +55,7 @@ class ReductionLog:
     """Ordered record of everything a run did."""
 
     events: list[LoggedEvent] = field(default_factory=list)
-    pass_drops: list[int] = field(default_factory=list)
+    pass_count: int = 0  # scan passes run
 
     @property
     def per_rule_counts(self) -> Counter:
@@ -64,9 +63,13 @@ class ReductionLog:
         return Counter(ev.verdict.rule_id for ev in self.events)
 
     @property
-    def pass_count(self) -> int:
-        """Scan passes run: each appends exactly one pass_drops entry."""
-        return len(self.pass_drops)
+    def pass_drops(self) -> list[int]:
+        """Variables eliminated per scan pass, each residual sweep's counted
+        in the pass it follows."""
+        drops = Counter()
+        for ev in self.events:
+            drops[ev.pass_number] += len(ev.verdict.conclusion)
+        return [drops[p] for p in range(1, self.pass_count + 1)]
 
 
 @dataclass
@@ -177,7 +180,7 @@ class _Reducer:
 
     def _apply(self, pass_no: int, verdict: rules.RuleVerdict) -> None:
         apply_conclusion(self.s, verdict.conclusion)
-        self.log.events.append(LoggedEvent(pass_no, verdict, self.s.live_count))
+        self.log.events.append(LoggedEvent(pass_no, verdict))
 
     def _examine_fix(self, v: int) -> rules.RuleVerdict | None:
         # Zero before one so a dead-even variable lands on the zero side.
@@ -240,16 +243,10 @@ class _Reducer:
                         and (r >= c[h] + d_plus[h] or r >= -(c[h] + d_minus[h]))
                         and self._try_pair(pass_no, i, h) is not None):
                     break
-        drops = live - s.live_count
-        self.log.pass_drops.append(drops)
-        return PassSummary(pass_no, drops, examined)
+        self.log.pass_count += 1
+        return PassSummary(pass_no, live - s.live_count, examined)
 
     # -- residual sweep -------------------------------------------------------
-
-    def _residual_hit(self, pass_no: int, verdict: rules.RuleVerdict) -> None:
-        self._apply(pass_no, verdict)
-        if self.log.pass_drops:
-            self.log.pass_drops[-1] += 1
 
     def run_residual(self, pass_no: int) -> int:
         """Apply every substitution the flag screen lets through; returns the count.
@@ -284,7 +281,7 @@ class _Reducer:
                             and rules.pair_may_fire(s, i, h)):
                         verdict = rule.probe(s, i, h)
                         if verdict is not None:
-                            self._residual_hit(pass_no, verdict)
+                            self._apply(pass_no, verdict)
                             hits += 1
                             break
         return hits

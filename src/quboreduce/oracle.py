@@ -149,7 +149,7 @@ def check_equivalence(
         )
     listed = [h for h, *_ in solution_map.eliminations]
     if sorted(listed + solution_map.survivors) != list(range(1, original.n + 1)):
-        raise ValueError(f"the map's assignments, identities and survivors do not "
+        raise ValueError(f"the map's eliminations and survivors do not "
                          f"list each of 1..{original.n} once")
     res_orig = brute_force_solve(original, n_limit)
     res_red = brute_force_solve(reduced, n_limit)

@@ -7,7 +7,6 @@ from conftest import random_instance, sweep_instance
 from quboreduce import engine, generator, mine_inequalities
 from quboreduce.cli import log_document, main, solution_map_from_document
 from quboreduce.model import read_instance, relabel, write_instance
-from quboreduce.oracle import brute_force_solve
 
 
 def run(argv):
@@ -139,7 +138,9 @@ class TestReduceVerify:
         src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
         run(["reduce", src, "-o", red, "--log", log])
         doc = json.loads(log.read_text())
-        doc["assignments"][0][1] = 1 - doc["assignments"][0][1]
+        fix = doc["events"][0]["conclusion"][0]
+        assert fix[2] == 0
+        fix[1] = 1 - fix[1]
         log.write_text(json.dumps(doc))
         assert run(["verify", src, red, log]) == 1
         assert "FAILED" in capsys.readouterr().out
@@ -244,18 +245,18 @@ class TestReduceVerify:
         assert run(["verify", src, red, bad]) == 2
         assert "error: " in capsys.readouterr().err
 
-    def test_log_without_assignments_is_input_error(self, tmp_path, capsys):
+    def test_log_without_events_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "in.qubo"
         red = tmp_path / "out.qubo"
         log = tmp_path / "log.json"
         src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
         run(["reduce", src, "-o", red, "--log", log])
         doc = json.loads(log.read_text())
-        del doc["assignments"]
+        del doc["events"]
         log.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["verify", src, red, log]) == 2
-        assert "error: " in capsys.readouterr().err
+        assert "error: malformed log document: KeyError" in capsys.readouterr().err
 
     def test_verify_takes_numbering_from_log(self, tmp_path, capsys):
         # the dense and the original-indexed files differ, and each only
@@ -318,19 +319,21 @@ class TestReduceVerify:
         log = tmp_path / "log.json"
         src.write_text("p qubo 2\nl 1 1\n")
         red.write_text("p qubo 2\nl 1 1\n")
-        log.write_text(json.dumps({"format": "quboreduce-log/1", "survivors": [1],
-                                   "assignments": [], "identities": [[2, "same", 9]]}))
+        log.write_text(json.dumps({"format": "quboreduce-log/2", "survivors": [1],
+                                   "events": [{"conclusion": [[2, 0, 1, 9]]}]}))
         assert run(["verify", src, red, log]) == 2
         assert "error: identity for 2 references unresolved 9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda doc: doc["identities"].append([1, "same", 1]), id="identity"),
-        pytest.param(lambda doc: doc["assignments"].append(doc["assignments"][0]),
+        pytest.param(lambda doc: doc["events"].append({"conclusion": [[1, 0, 1, 1]]}),
+                     id="identity"),
+        pytest.param(lambda doc: doc["events"].append(doc["events"][-1]),
                      id="repeated-assignment"),
-        pytest.param(lambda doc: doc["assignments"].pop(), id="missing-variable"),
+        pytest.param(lambda doc: doc["events"].pop(), id="missing-variable"),
     ])
     def test_verify_rejects_map_that_is_no_partition(self, tmp_path, capsys, edit):
-        # the triple reduces to nothing; each edit lists a variable twice or not at all
+        # the triple reduces to nothing, by a pair fix and then a fix; each
+        # edit lists a variable twice or not at all
         src = tmp_path / "in.qubo"
         red = tmp_path / "out.qubo"
         log = tmp_path / "log.json"
@@ -343,7 +346,7 @@ class TestReduceVerify:
         capsys.readouterr()
         assert run(["verify", src, red, log]) == 2
         captured = capsys.readouterr()
-        assert "error: the map's assignments, identities and survivors" in captured.err
+        assert "error: the map's eliminations and survivors" in captured.err
         assert "verified" not in captured.out
 
     def test_verify_deeply_nested_log_is_input_error(self, tmp_path, capsys):
@@ -371,7 +374,12 @@ class TestReduceVerify:
         assert "verified" not in captured.out
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda doc: doc.update(assignments=[[4, 1.5]]), id="float-value"),
+        pytest.param(lambda doc: doc["events"][0].update(conclusion=[[4, 1.5, 0, 4]]),
+                     id="float-value"),
+        pytest.param(lambda doc: doc["events"][0].update(conclusion=[[4, True, 0, 4]]),
+                     id="bool-value"),
+        pytest.param(lambda doc: doc["events"][0].update(conclusion=[[4, 1, 0, "4"]]),
+                     id="string-variable"),
         pytest.param(lambda doc: doc["survivors"].__setitem__(0, True), id="bool-survivor"),
         pytest.param(lambda doc: doc["survivors"].__setitem__(0, "1"), id="string-survivor"),
     ])
@@ -385,7 +393,8 @@ class TestReduceVerify:
                        "q 1 2 5\nq 1 3 4\nq 2 3 -4\n")
         run(["reduce", src, "-o", red, "--log", log])
         doc = json.loads(log.read_text())
-        assert (doc["assignments"], doc["survivors"]) == ([[4, 1]], [1, 2, 3])
+        assert [ev["conclusion"] for ev in doc["events"]] == [[[4, 1, 0, 4]]]
+        assert doc["survivors"] == [1, 2, 3]
         assert run(["verify", src, red, log]) == 0
         edit(doc)
         log.write_text(json.dumps(doc))
@@ -394,6 +403,55 @@ class TestReduceVerify:
         captured = capsys.readouterr()
         assert "error: malformed log document: TypeError" in captured.err
         assert "verified" not in captured.out
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param([4, 1, 1, 4], id="a=1,b=1"),
+        pytest.param([4, 0, -1, 1], id="a=0,b=-1"),
+        pytest.param([4, 2, 0, 4], id="fix-to-2"),
+        pytest.param([4, 1, 0, 1], id="fix-with-i!=h"),
+        pytest.param([4, 1, 0], id="three-entries"),
+        pytest.param([4, 1, 0, 4, 0], id="five-entries"),
+        pytest.param(4, id="integer"),
+    ])
+    def test_verify_rejects_elimination_of_no_form(self, tmp_path, capsys, entry):
+        # x_4 fixes to 1 and 1..3 survive; each entry replaces the fix
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 4\nl 1 -2\nl 2 -3\nl 3 -1\nl 4 5\n"
+                       "q 1 2 5\nq 1 3 4\nq 2 3 -4\n")
+        run(["reduce", src, "-o", red, "--log", log])
+        doc = json.loads(log.read_text())
+        doc["events"][0]["conclusion"] = [entry]
+        log.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", src, red, log]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed log document")
+        assert "verified" not in captured.out
+
+    def test_v1_log_is_unsupported(self, tmp_path, capsys):
+        # a quboreduce-log/1 document of the triple, which reduces to nothing
+        src = tmp_path / "in.qubo"
+        red = tmp_path / "out.qubo"
+        log = tmp_path / "log.json"
+        src.write_text("p qubo 3\nl 1 1\nl 2 1\nl 3 2\nq 1 2 -2\nq 2 3 1\n")
+        run(["reduce", src, "-o", red])
+        log.write_text(json.dumps({
+            "format": "quboreduce-log/1", "original_n": 3, "survivors": [],
+            "assignments": [[2, 1], [1, 0], [3, 1]], "identities": [], "offset": 4,
+            "passes": 2, "pass_drops": [3, 0], "per_rule_counts": {"R3_2": 1, "R1_0": 1},
+            "events": [{"pass": 1, "rule": "R3_2", "unique": False, "live_after": 1,
+                        "conclusion": {"type": "pair_fix", "i": 2, "vi": 1, "h": 1, "vh": 0}},
+                       {"pass": 1, "rule": "R1_0", "unique": True, "live_after": 0,
+                        "conclusion": {"type": "fix", "var": 3, "value": 1}}],
+            "inequalities": [], "wall_time_s": 0.0}))
+        capsys.readouterr()
+        for argv in (["verify", src, red, log], ["report", log]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: unsupported log format 'quboreduce-log/1'")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("fmt", ["bogus/9", None])
     def test_verify_rejects_unknown_log_format(self, tmp_path, capsys, fmt):
@@ -428,22 +486,33 @@ class TestReduceVerify:
         assert "verified" not in captured.out
 
     def test_document_map_lifts_as_the_run_map(self):
-        # A log lists fixes and identities apart.  Read back with the
-        # identities first, the newest-first lift sets every fix before an
-        # identity whose partner was fixed later reads it.
+        # The events' eliminations, joined in logged order, are the run's
+        # map, field for field, so it lifts as the run's map does, also where
+        # an identity's partner was fixed later.
         fixed_later = 0
         for t in range(300):
             inst = sweep_instance(t)
             reduced, log, smap = engine.run_to_fixed_point(inst)
             doc = json.loads(json.dumps(log_document(inst, reduced, log, smap, 0.0, [])))
             back = solution_map_from_document(doc)
-            for bits in brute_force_solve(reduced).optima:
-                y = dict(zip(smap.survivors, bits))
-                assert engine.reconstruct_solution(back, y) == engine.reconstruct_solution(smap, y)
+            assert back.eliminations == smap.eliminations, t
+            assert back.survivors == smap.survivors, t
             fixed_at = {h: k for k, (h, _, b, _) in enumerate(smap.eliminations) if not b}
             fixed_later += any(b and fixed_at.get(i, -1) > k
                                for k, (_, _, b, i) in enumerate(smap.eliminations))
         assert fixed_later >= 10
+
+    def test_split_map_fields_follow_the_events(self):
+        # Nothing in the package reads assignments and identities back, so
+        # only this test would notice them going wrong.
+        for t in range(1000):
+            inst = sweep_instance(t)
+            reduced, log, smap = engine.run_to_fixed_point(inst)
+            doc = json.loads(json.dumps(log_document(inst, reduced, log, smap, 0.0, [])))
+            eliminations = [e for ev in doc["events"] for e in ev["conclusion"]]
+            assert doc["assignments"] == [[h, a] for h, a, b, _ in eliminations if b == 0], t
+            assert doc["identities"] == [[h, "same" if b == 1 else "complement", i]
+                                         for h, _, b, i in eliminations if b != 0], t
 
     @pytest.mark.parametrize("t", [3, 4, 5, 17])
     def test_verify_identity_whose_partner_is_fixed_later(self, tmp_path, t):
@@ -480,8 +549,7 @@ class TestReduceVerify:
             if flags:
                 reduced = relabel(reduced, range(1, reduced.n + 1), doc["survivors"], 8)
             want = [{"rule": r.verdict.rule_id, "unique": r.verdict.unique,
-                     "m_bound": r.m_bound, "type": "inequality",
-                     "kind": r.verdict.conclusion.kind.value,
+                     "m_bound": r.m_bound, "kind": r.verdict.conclusion.kind.value,
                      "i": r.verdict.conclusion.i, "h": r.verdict.conclusion.h}
                     for r in mine_inequalities(reduced)]
             assert doc["survivors"] == [2, 3, 4, 8]
@@ -541,7 +609,7 @@ class TestSolve:
 
 def _log_text(**fields):
     """A log document that report renders, with some fields replaced."""
-    doc = {"format": "quboreduce-log/1", "original_n": 3, "survivors": [2],
+    doc = {"format": "quboreduce-log/2", "original_n": 3, "survivors": [2],
            "assignments": [[1, 0], [3, 1]], "identities": [], "offset": 4,
            "passes": 2, "pass_drops": [2, 0], "per_rule_counts": {"R1_0": 2},
            "events": [], "inequalities": [], "wall_time_s": 0.5}

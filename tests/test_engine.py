@@ -395,6 +395,16 @@ class TestResidual:
         assert check_equivalence(inst, reduced, smap).ok
         assert verify_fixed_point(init_state(reduced))
 
+    def test_sweep_before_any_pass(self):
+        # pass_drops has one entry per scan pass run: none before the first
+        # pass, which then also counts the sweep's hit, numbered pass 1
+        state = init_state(RESIDUAL_COMPLEMENT)
+        log = ReductionLog()
+        assert run_residual_pass(state, log) == 1
+        assert (log.pass_count, log.pass_drops) == (0, [])
+        run_first_pass(state, log)
+        assert (log.pass_count, log.pass_drops, state.live_count) == (1, [3], 0)
+
     def test_sweeps_leave_no_substitution(self):
         # after one pass, residual sweeps repeated until one finds nothing
         # leave no edge where the general rule 2.5 or 2.6 fires, including the
@@ -422,7 +432,7 @@ class TestResidual:
         # of scheduling order shows here.
         events = json.dumps(log_document(inst, reduced, log, smap, 0.0, [])["events"])
         assert len(log.events) == 377
-        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "4491cbfdfe4d07a3"
+        assert hashlib.sha256(events.encode()).hexdigest()[:16] == "ff6dad6d2914e48e"
 
 
 @pytest.fixture
@@ -583,6 +593,35 @@ class TestScheduleIndependence:
                 if best is not None:
                     assert brute_force_solve(again).optimum == best, (inst, perm)
 
+    def test_survivor_count_ignores_the_rule_order(self, monkeypatch):
+        # Each sign's two pair-assignment rows swapped, fix-one tried before
+        # fix-zero, and both: runs whose eliminations differ in each variant,
+        # and the same survivor count in every run, at a true fixed point.
+        instances = [sweep_instance(t) for t in range(1000)]
+        instances += [generate_instance(GeneratorSpec.from_design(2000, 20000, row, seed=42))
+                      for row in design_table()]
+        base = [run_to_fixed_point(inst) for inst in instances]
+
+        def fix_one_first(self, v):
+            return rules.rule_fix_one(self.s, v) or rules.rule_fix_zero(self.s, v)
+
+        patches = {
+            "rows": (rules, "PAIR_ASSIGNMENTS",
+                     {pos: rows[::-1] for pos, rows in rules.PAIR_ASSIGNMENTS.items()}),
+            "fixes": (_Reducer, "_examine_fix", fix_one_first),
+        }
+        for variant in (["rows"], ["fixes"], ["rows", "fixes"]):
+            moved = 0
+            with monkeypatch.context() as m:
+                for name in variant:
+                    m.setattr(*patches[name])
+                for k, (inst, (reduced, _, smap)) in enumerate(zip(instances, base)):
+                    again, _, smap_again = run_to_fixed_point(inst)
+                    assert again.n == reduced.n, (variant, k)
+                    assert verify_fixed_point(init_state(again)), (variant, k)
+                    moved += smap_again.eliminations != smap.eliminations
+            assert moved, variant
+
 
 class TestReplay:
     def test_replay_rebuilds_the_run(self):
@@ -721,7 +760,7 @@ class TestMultiPass:
             text = io.StringIO()
             write_instance(reduced, text)
             digest.update(text.getvalue().encode())
-        assert digest.hexdigest()[:16] == "61e179a5553a6e16"
+        assert digest.hexdigest()[:16] == "7fec62e8b18711df"
 
     def test_pinned_mined_records(self):
         # generate --size 2000 --edges 20000 --seed 42 --design-row 1, mined
@@ -744,11 +783,15 @@ class TestMultiPass:
         assert sum(log.pass_drops) == 3 - len(smap.survivors)
 
     def test_live_count_strictly_decreasing_in_events(self):
+        # The live count after an event is n minus the eliminations so far,
+        # and every event eliminates at least one variable.
         rng = random.Random(90)
         for _ in range(100):
             inst = random_instance(rng, rng.randint(2, 12))
             _, log, _ = run_to_fixed_point(inst)
-            lives = [ev.live_after for ev in log.events]
+            lives = [st.live_count for st in replay(inst, log.events)]
+            eliminated = itertools.accumulate(len(ev.verdict.conclusion) for ev in log.events)
+            assert lives == [inst.n, *(inst.n - k for k in eliminated)]
             assert all(a > b for a, b in zip(lives, lives[1:]))
             passes = [ev.pass_number for ev in log.events]
             assert passes == sorted(passes)
